@@ -1,10 +1,11 @@
 #include "fuzz/config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
-#include "fuzz/json.hpp"
+#include "util/json.hpp"
 
 namespace wfd::fuzz {
 
@@ -95,6 +96,10 @@ bool is_broken_target(TargetKind target) {
 bool has_network_adversary(const FuzzConfig& config) {
   return config.loss_rate > 0.0 || config.dup_rate > 0.0 ||
          !config.partitions.empty();
+}
+
+bool is_probability(double value) {
+  return std::isfinite(value) && value >= 0.0 && value <= 1.0;
 }
 
 const char* to_string(SchedulerKind kind) { return enum_name(kSchedulers, kind); }
@@ -289,15 +294,25 @@ std::string config_to_json(const FuzzConfig& config, int indent) {
 
 namespace {
 
-bool apply_config_json(const Json& root, FuzzConfig* out, std::string* error,
+bool apply_config_json(const util::Json& root, FuzzConfig* out, std::string* error,
                        bool strict = false) {
-  if (root.kind != Json::Kind::kObject) {
+  if (root.kind != util::Json::Kind::kObject) {
     if (error != nullptr) *error = "config is not a JSON object";
     return false;
   }
   const auto fail = [&](const std::string& what) {
     if (error != nullptr) *error = what;
     return false;
+  };
+  const auto probability = [&](const std::string& key, const util::Json& value,
+                               double* out) {
+    const double parsed = value.as_double(*out);
+    if (!is_probability(parsed)) {
+      return fail(key + ": must be a finite number in [0, 1], got " +
+                  value.number);
+    }
+    *out = parsed;
+    return true;
   };
   for (const auto& [key, value] : root.members) {
     if (key == "seed") {
@@ -324,14 +339,14 @@ bool apply_config_json(const Json& root, FuzzConfig* out, std::string* error,
       out->scheduler = static_cast<SchedulerKind>(raw);
     } else if (key == "weights") {
       out->weights.clear();
-      for (const Json& item : value.items) out->weights.push_back(item.as_u64(1));
+      for (const util::Json& item : value.items) out->weights.push_back(item.as_u64(1));
     } else if (key == "pauses") {
       out->pauses.clear();
-      for (const Json& item : value.items) {
+      for (const util::Json& item : value.items) {
         PausePlan pause;
-        if (const Json* f = item.find("pid")) pause.pid = static_cast<sim::ProcessId>(f->as_u64());
-        if (const Json* f = item.find("from")) pause.from = f->as_u64();
-        if (const Json* f = item.find("until")) pause.until = f->as_u64();
+        if (const util::Json* f = item.find("pid")) pause.pid = static_cast<sim::ProcessId>(f->as_u64());
+        if (const util::Json* f = item.find("from")) pause.from = f->as_u64();
+        if (const util::Json* f = item.find("until")) pause.until = f->as_u64();
         out->pauses.push_back(pause);
       }
     } else if (key == "delay") {
@@ -345,25 +360,25 @@ bool apply_config_json(const Json& root, FuzzConfig* out, std::string* error,
     } else if (key == "delay_max") {
       out->delay_max = value.as_u64(out->delay_max);
     } else if (key == "geo_p") {
-      out->geo_p = value.as_double(out->geo_p);
+      if (!probability(key, value, &out->geo_p)) return false;
     } else if (key == "gst") {
       out->gst = value.as_u64(out->gst);
     } else if (key == "crashes") {
       out->crashes.clear();
-      for (const Json& item : value.items) {
+      for (const util::Json& item : value.items) {
         CrashPlan crash;
-        if (const Json* f = item.find("pid")) crash.pid = static_cast<sim::ProcessId>(f->as_u64());
-        if (const Json* f = item.find("at")) crash.at = f->as_u64();
+        if (const util::Json* f = item.find("pid")) crash.pid = static_cast<sim::ProcessId>(f->as_u64());
+        if (const util::Json* f = item.find("at")) crash.at = f->as_u64();
         out->crashes.push_back(crash);
       }
     } else if (key == "mistakes") {
       out->mistakes.clear();
-      for (const Json& item : value.items) {
+      for (const util::Json& item : value.items) {
         detect::MistakeWindow window;
-        if (const Json* f = item.find("watcher")) window.watcher = static_cast<sim::ProcessId>(f->as_u64());
-        if (const Json* f = item.find("subject")) window.subject = static_cast<sim::ProcessId>(f->as_u64());
-        if (const Json* f = item.find("from")) window.from = f->as_u64();
-        if (const Json* f = item.find("until")) window.until = f->as_u64();
+        if (const util::Json* f = item.find("watcher")) window.watcher = static_cast<sim::ProcessId>(f->as_u64());
+        if (const util::Json* f = item.find("subject")) window.subject = static_cast<sim::ProcessId>(f->as_u64());
+        if (const util::Json* f = item.find("from")) window.from = f->as_u64();
+        if (const util::Json* f = item.find("until")) window.until = f->as_u64();
         out->mistakes.push_back(window);
       }
     } else if (key == "detector_lag") {
@@ -386,9 +401,9 @@ bool apply_config_json(const Json& root, FuzzConfig* out, std::string* error,
     } else if (key == "never_exit_member") {
       out->never_exit_member = static_cast<std::int32_t>(value.as_double(-1));
     } else if (key == "loss_rate") {
-      out->loss_rate = value.as_double(out->loss_rate);
+      if (!probability(key, value, &out->loss_rate)) return false;
     } else if (key == "dup_rate") {
-      out->dup_rate = value.as_double(out->dup_rate);
+      if (!probability(key, value, &out->dup_rate)) return false;
     } else if (key == "dup_spread") {
       out->dup_spread = value.as_u64(out->dup_spread);
     } else if (key == "retransmit_every") {
@@ -398,15 +413,15 @@ bool apply_config_json(const Json& root, FuzzConfig* out, std::string* error,
           static_cast<std::uint32_t>(value.as_u64(out->retransmit_max));
     } else if (key == "partitions") {
       out->partitions.clear();
-      for (const Json& item : value.items) {
+      for (const util::Json& item : value.items) {
         sim::PartitionWindow window;
-        if (const Json* f = item.find("from")) window.from = f->as_u64();
-        if (const Json* f = item.find("until")) {
+        if (const util::Json* f = item.find("from")) window.from = f->as_u64();
+        if (const util::Json* f = item.find("until")) {
           const sim::Time until = f->as_u64();
           window.until = until == 0 ? sim::kNever : until;  // 0 = never heals
         }
-        if (const Json* f = item.find("side")) {
-          for (const Json& pid : f->items) {
+        if (const util::Json* f = item.find("side")) {
+          for (const util::Json& pid : f->items) {
             window.side.push_back(static_cast<sim::ProcessId>(pid.as_u64()));
           }
         }
@@ -427,8 +442,8 @@ bool apply_config_json(const Json& root, FuzzConfig* out, std::string* error,
 
 bool config_from_json(const std::string& text, FuzzConfig* out,
                       std::string* error) {
-  Json root;
-  if (!Json::parse(text, &root, error)) return false;
+  util::Json root;
+  if (!util::Json::parse(text, &root, error)) return false;
   *out = FuzzConfig{};
   return apply_config_json(root, out, error);
 }
@@ -450,9 +465,9 @@ std::string repro_to_json(const ReproCase& repro) {
 
 bool repro_from_json(const std::string& text, ReproCase* out,
                      std::string* error) {
-  Json root;
-  if (!Json::parse(text, &root, error)) return false;
-  if (root.kind != Json::Kind::kObject) {
+  util::Json root;
+  if (!util::Json::parse(text, &root, error)) return false;
+  if (root.kind != util::Json::Kind::kObject) {
     if (error != nullptr) *error = "repro is not a JSON object";
     return false;
   }
@@ -465,7 +480,7 @@ bool repro_from_json(const std::string& text, ReproCase* out,
   // replay a DIFFERENT case and still claim success. Unknown keys and
   // missing/foreign versions are hard errors; missing known fields still
   // default (strict means no surprises, not no defaults).
-  const Json* version = root.find("schema_version");
+  const util::Json* version = root.find("schema_version");
   if (version == nullptr) {
     return fail("missing \"schema_version\" (expected 1; pre-versioning "
                 "files must be migrated)");
@@ -480,7 +495,7 @@ bool repro_from_json(const std::string& text, ReproCase* out,
     if (key == "schema_version" || key == "expect" || key == "config") continue;
     return fail("unknown repro key \"" + key + "\"");
   }
-  if (const Json* expect = root.find("expect")) {
+  if (const util::Json* expect = root.find("expect")) {
     for (const auto& [key, value] : expect->members) {
       if (key == "oracle") {
         out->oracle = value.as_string("none");
@@ -493,7 +508,7 @@ bool repro_from_json(const std::string& text, ReproCase* out,
       }
     }
   }
-  const Json* config = root.find("config");
+  const util::Json* config = root.find("config");
   if (config == nullptr) {
     return fail("repro has no \"config\" member");
   }

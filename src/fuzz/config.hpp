@@ -114,6 +114,11 @@ struct FuzzConfig {
 /// partition) — i.e. leaves the paper's reliable-channel envelope.
 bool has_network_adversary(const FuzzConfig& config);
 
+/// True iff `value` can stand for a probability (loss_rate, dup_rate,
+/// geo_p): finite and within [0, 1]. Both JSON readers reject anything
+/// else, so no accepted config can carry a value the writers cannot render.
+bool is_probability(double value);
+
 /// Largest delay the configured model can draw (margin input for oracles).
 sim::Time effective_delay_max(const FuzzConfig& config);
 

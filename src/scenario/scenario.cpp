@@ -23,6 +23,23 @@ struct Ctx {
   }
 };
 
+/// A probability field (loss_rate, dup_rate, geo_p): a JSON number that is
+/// finite and within [0, 1]. Anything else would either reach the engine's
+/// chance() draws meaning nothing, or fail to write back as JSON.
+bool parse_probability(Ctx& ctx, const Json& value, const std::string& path,
+                       double* out) {
+  if (value.kind != Json::Kind::kNumber) {
+    return ctx.fail(path, "expected a number");
+  }
+  const double parsed = value.as_double();
+  if (!fuzz::is_probability(parsed)) {
+    return ctx.fail(path,
+                    "must be a finite number in [0, 1], got " + value.number);
+  }
+  *out = parsed;
+  return true;
+}
+
 bool require_object(Ctx& ctx, const Json& value, const std::string& path) {
   if (value.kind == Json::Kind::kObject) return true;
   return ctx.fail(path, "expected a JSON object");
@@ -109,7 +126,11 @@ bool parse_timing(Ctx& ctx, const Json& node, fuzz::FuzzConfig* config) {
   }
   if (const Json* f = node.find("min")) config->delay_min = f->as_u64(1);
   if (const Json* f = node.find("max")) config->delay_max = f->as_u64(8);
-  if (const Json* f = node.find("geo_p")) config->geo_p = f->as_double(0.2);
+  if (const Json* f = node.find("geo_p")) {
+    if (!parse_probability(ctx, *f, "timing.geo_p", &config->geo_p)) {
+      return false;
+    }
+  }
   if (const Json* f = node.find("gst")) config->gst = f->as_u64(0);
   return true;
 }
@@ -154,10 +175,14 @@ bool parse_network(Ctx& ctx, const Json& node, fuzz::FuzzConfig* config) {
     return false;
   }
   if (const Json* f = node.find("loss_rate")) {
-    config->loss_rate = f->as_double(0.0);
+    if (!parse_probability(ctx, *f, "network.loss_rate", &config->loss_rate)) {
+      return false;
+    }
   }
   if (const Json* f = node.find("dup_rate")) {
-    config->dup_rate = f->as_double(0.0);
+    if (!parse_probability(ctx, *f, "network.dup_rate", &config->dup_rate)) {
+      return false;
+    }
   }
   if (const Json* f = node.find("dup_spread")) {
     config->dup_spread = f->as_u64(8);

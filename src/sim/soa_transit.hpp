@@ -1,16 +1,24 @@
-// Struct-of-arrays transit store: ONE shared message pool and ONE two-level
-// hierarchical calendar for the whole engine, replacing the per-destination
-// CalendarQueue array when EngineConfig::transit == TransitKind::kSoa.
+// The engine's transit store: ONE shared message pool and ONE two-level
+// hierarchical calendar for every channel of the run. The engine's
+// bit-reproducibility contract fixes what it must deliver — each
+// destination's messages in exact (deliver_at, seq) order, with deferred
+// items staying first — and this layout delivers that at O(1) per message
+// and O(1) per process at any n.
 //
-// Why: a CalendarQueue is ~6 KiB of bucket headers per destination. At
-// n = 1e6 that is ~6 GiB of mostly-cold headers, and every push lands in a
-// different destination's object — a guaranteed cache+TLB miss per message.
-// Worse, a destination that steps rarely (every ~n ticks under any fair
-// scheduler) keeps a stale per-queue clock, so at large n almost every push
-// overflows the 256-tick window into the sorted band. Here all hot state is
-// per-field contiguous: deliver times, link words and message bodies are
-// parallel arrays indexed by slot, and the calendar is shared, so its
-// buckets stay resident no matter how many destinations exist.
+// Why this shape:
+//   * All hot state is per-field contiguous: deliver times, link words and
+//     message bodies are parallel arrays indexed by slot, and freed slots
+//     are recycled through a free list, so steady-state traffic allocates
+//     nothing and a push touches a handful of cache lines.
+//   * The calendar is shared, not per destination, so its buckets stay
+//     resident however many destinations exist, and a process costs four
+//     words (ready head/tail, pending count, dead flag) rather than a
+//     bucket array of its own.
+//   * One clock for the whole store: a destination that steps rarely (every
+//     ~n ticks under any fair scheduler) never holds a stale window, so
+//     ordinary delays always take the O(1) wheel path.
+//   * Due items are scattered onto per-destination ready lists once per
+//     tick, so the receive phase of a step is a plain list drain.
 //
 // Layout (slot = index into the parallel arrays):
 //
@@ -46,9 +54,10 @@
 //     prefix in (due, seq) order into an empty block;
 //   * scatter appends each tick's items behind whatever older (deferred or
 //     earlier-tick) items the ready list still holds.
-// Hence drain_ready visits exactly the sequence the per-destination
-// CalendarQueues would produce, and the engine's SoA mode is bit-identical
-// to the legacy mode (pinned by tests/test_soa_engine.cpp).
+// Hence drain_ready visits exactly the order a per-destination min-heap
+// over (deliver_at, seq) with a deferred FIFO would produce (checked
+// against that reference model in tests/test_soa_transit.cpp; the
+// engine-level golden fingerprints live in tests/test_soa_engine.cpp).
 #pragma once
 
 #include <algorithm>
@@ -56,10 +65,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/transit_queue.hpp"  // InTransit (shared consume-item shape)
 #include "sim/types.hpp"
 
 namespace wfd::sim {
+
+/// A message waiting in a channel, due at `deliver_at` (the item shape
+/// drain_ready hands its consumer).
+struct InTransit {
+  Time deliver_at = 0;
+  Message msg{};
+};
 
 class SoaTransit {
  public:
@@ -71,6 +86,8 @@ class SoaTransit {
   static constexpr std::size_t kNearSize = std::size_t{2} << kFarBits;
   static constexpr std::size_t kFarCount = 1024;  // far coverage: ~1M ticks
 
+  /// An empty store; reset(n) sizes it before the first push.
+  SoaTransit() = default;
   explicit SoaTransit(std::size_t n) { reset(n); }
 
   void reset(std::size_t n) {

@@ -1,8 +1,7 @@
 // Shared, dependency-free JSON library: a tolerant reader plus a
 // deterministic writer, used by the fuzzer (.repro files), the scenario DSL
 // (*.scenario.json), and the observability layer (Perfetto/NDJSON
-// validation). Grew out of src/fuzz/json.hpp; the fuzz header now merely
-// re-exports these types so existing includes keep compiling.
+// validation).
 //
 // Reader grammar subset: objects, arrays, strings with basic escapes,
 // integer/float numbers, booleans, null — exactly what the writers in this
@@ -14,9 +13,11 @@
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,8 +100,13 @@ struct Json {
     return out;
   }
   /// Doubles render with enough digits to round-trip (%.17g trimmed), so a
-  /// written value parses back to the identical double.
+  /// written value parses back to the identical double. JSON has no
+  /// spelling for NaN or infinity, so a non-finite value throws
+  /// std::domain_error instead of rendering text no reader accepts.
   static Json of_double(double value) {
+    if (!std::isfinite(value)) {
+      throw std::domain_error("util::Json: non-finite number has no JSON form");
+    }
     Json out;
     out.kind = Kind::kNumber;
     char buf[40];

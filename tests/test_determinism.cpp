@@ -2,10 +2,10 @@
 // function of (configuration, seed): same seed ⇒ byte-identical event trace
 // and EngineStats, across all schedulers, before and after crashes. The
 // golden constants below were captured from the pre-overhaul engine (the
-// per-destination std::priority_queue<InTransit> heap); the calendar transit
-// queue and the masked trace fast path must reproduce them exactly — they
-// change the data structure, never the (deliver_at, seq) delivery order or
-// the RNG draw sequence.
+// per-destination std::priority_queue<InTransit> heap); the shared SoA
+// transit store and the masked trace fast path must reproduce them exactly —
+// they change the data structure, never the (deliver_at, seq) delivery order
+// or the RNG draw sequence.
 #include <gtest/gtest.h>
 
 #include <memory>

@@ -12,8 +12,8 @@
 
 #include "fuzz/config.hpp"
 #include "fuzz/fuzzer.hpp"
-#include "fuzz/json.hpp"
 #include "fuzz/oracles.hpp"
+#include "util/json.hpp"
 
 namespace wfd::fuzz {
 namespace {
@@ -141,11 +141,11 @@ TEST(FuzzReproJson, RoundTripsExpectedOutcome) {
 }
 
 TEST(FuzzJson, RejectsMalformedInput) {
-  Json value;
+  util::Json value;
   std::string error;
-  EXPECT_FALSE(Json::parse("{\"a\": }", &value, &error));
-  EXPECT_FALSE(Json::parse("{\"a\": 1} trailing", &value, &error));
-  EXPECT_FALSE(Json::parse("", &value, &error));
+  EXPECT_FALSE(util::Json::parse("{\"a\": }", &value, &error));
+  EXPECT_FALSE(util::Json::parse("{\"a\": 1} trailing", &value, &error));
+  EXPECT_FALSE(util::Json::parse("", &value, &error));
   FuzzConfig config;
   EXPECT_FALSE(config_from_json("[1, 2, 3]", &config, &error));
 }
@@ -154,14 +154,14 @@ TEST(FuzzJson, RejectsMalformedInput) {
 // hand-edited .repro of 100k open brackets overflowed the stack. Deep
 // nesting must come back as a parse error, never a crash.
 TEST(FuzzJson, HostileNestingIsAnErrorNotACrash) {
-  Json value;
+  util::Json value;
   std::string error;
-  EXPECT_FALSE(Json::parse(std::string(100000, '['), &value, &error));
+  EXPECT_FALSE(util::Json::parse(std::string(100000, '['), &value, &error));
   EXPECT_NE(error.find("nesting"), std::string::npos) << error;
   // Same through objects.
   std::string hostile;
   for (int i = 0; i < 100000; ++i) hostile += "{\"k\":";
-  EXPECT_FALSE(Json::parse(hostile, &value, &error));
+  EXPECT_FALSE(util::Json::parse(hostile, &value, &error));
   EXPECT_NE(error.find("nesting"), std::string::npos) << error;
 }
 
@@ -169,19 +169,19 @@ TEST(FuzzJson, ReasonableNestingStaysAccepted) {
   std::string text(32, '[');
   text += "1";
   text += std::string(32, ']');
-  Json value;
+  util::Json value;
   std::string error;
-  EXPECT_TRUE(Json::parse(text, &value, &error)) << error;
+  EXPECT_TRUE(util::Json::parse(text, &value, &error)) << error;
 }
 
 // Regression: duplicate object keys were silently appended, so find()
 // (first match) returned the FIRST value while a writer round trip kept
 // both. Last wins now, in place, with an optional warning per duplicate.
 TEST(FuzzJson, DuplicateKeysLastWinsWithWarning) {
-  Json value;
+  util::Json value;
   std::string error;
   std::vector<std::string> warnings;
-  ASSERT_TRUE(Json::parse(R"({"a":1,"b":2,"a":3})", &value, &error,
+  ASSERT_TRUE(util::Json::parse(R"({"a":1,"b":2,"a":3})", &value, &error,
                           &warnings));
   ASSERT_EQ(value.members.size(), 2u);
   EXPECT_EQ(value.find("a")->as_u64(), 3u);
@@ -189,8 +189,8 @@ TEST(FuzzJson, DuplicateKeysLastWinsWithWarning) {
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_NE(warnings[0].find("duplicate key \"a\""), std::string::npos);
   // Without a warnings sink the parse still succeeds with last-wins.
-  Json quiet;
-  ASSERT_TRUE(Json::parse(R"({"a":1,"a":2})", &quiet, &error));
+  util::Json quiet;
+  ASSERT_TRUE(util::Json::parse(R"({"a":1,"a":2})", &quiet, &error));
   EXPECT_EQ(quiet.find("a")->as_u64(), 2u);
 }
 

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,6 +43,8 @@ scenario::Scenario parse_ok(const std::string& text) {
   EXPECT_TRUE(scenario::parse_scenario(text, &out, &error)) << error;
   return out;
 }
+
+void expect_round_trip(const std::string& text);
 
 std::string parse_error(const std::string& text) {
   scenario::Scenario out;
@@ -151,6 +155,53 @@ TEST(ScenarioParse, BadEnumsFail) {
   text.replace(text.find("\"verdict\": \"clean\""), 18,
                "\"verdict\": \"mostly_clean\"");
   EXPECT_NE(parse_error(text).find("expect.sim.verdict"), std::string::npos);
+}
+
+TEST(ScenarioParse, OutOfRangeRatesFailWithTheirPath) {
+  // Each probe used to parse: -0.5 was then silently dropped on write and
+  // the infinities were written as bare `inf`, which no reader accepts.
+  struct Field {
+    const char* section;
+    const char* key;
+    const char* path;
+  };
+  const Field fields[] = {
+      {"network", "loss_rate", "network.loss_rate"},
+      {"network", "dup_rate", "network.dup_rate"},
+  };
+  for (const Field& field : fields) {
+    for (const char* probe : {"5", "-0.5", "1e999", "-1e999"}) {
+      std::string text = base_scenario();
+      text.insert(text.find("\"expect\""), std::string("\"") + field.section +
+                                              "\": {\"" + field.key +
+                                              "\": " + probe + "}, ");
+      const std::string error = parse_error(text);
+      EXPECT_EQ(error.rfind(std::string(field.path) +
+                                ": must be a finite number in [0, 1]",
+                            0),
+                0u)
+          << probe << " -> " << error;
+    }
+  }
+  std::string text = base_scenario();
+  text.insert(text.find("\"expect\""),
+              "\"timing\": {\"delay\": \"geometric\", \"geo_p\": 1e999}, ");
+  EXPECT_EQ(parse_error(text).rfind("timing.geo_p: must be a finite number", 0),
+            0u);
+  text = base_scenario();
+  text.insert(text.find("\"expect\""), "\"network\": {\"loss_rate\": \"0.1\"}, ");
+  EXPECT_EQ(parse_error(text), "network.loss_rate: expected a number");
+}
+
+TEST(ScenarioParse, BoundaryRatesAreAcceptedAndRoundTrip) {
+  for (const char* rates : {"\"loss_rate\": 0, \"dup_rate\": 1",
+                            "\"loss_rate\": 1, \"dup_rate\": 0.25"}) {
+    std::string text = base_scenario();
+    text.replace(text.find("scripted_extraction"), 19, "dining");
+    text.insert(text.find("\"expect\""),
+                std::string("\"network\": {") + rates + "}, ");
+    expect_round_trip(text);
+  }
 }
 
 TEST(ScenarioParse, SeedsOnlyBelongToFuzz) {
@@ -518,6 +569,30 @@ TEST(ReproSchema, UnknownConfigKeyIsRejected) {
       hostile_repro("\"seed\":", "\"sneaky\": 7, \"seed\":"), &out, &error));
   EXPECT_NE(error.find("unknown config key \"sneaky\""), std::string::npos)
       << error;
+}
+
+TEST(ReproSchema, OutOfRangeRateIsRejected) {
+  for (const char* probe : {"5", "-0.5", "1e999", "-1e999"}) {
+    fuzz::ReproCase out;
+    std::string error;
+    EXPECT_FALSE(fuzz::repro_from_json(
+        hostile_repro("\"loss_rate\": 0", std::string("\"loss_rate\": ") + probe),
+        &out, &error))
+        << probe;
+    EXPECT_EQ(error.rfind("loss_rate: must be a finite number in [0, 1]", 0), 0u)
+        << error;
+  }
+}
+
+TEST(UtilJson, NonFiniteNumbersAreRefusedOnWrite) {
+  EXPECT_THROW(util::Json::of_double(std::numeric_limits<double>::infinity()),
+               std::domain_error);
+  EXPECT_THROW(util::Json::of_double(-std::numeric_limits<double>::infinity()),
+               std::domain_error);
+  EXPECT_THROW(util::Json::of_double(std::numeric_limits<double>::quiet_NaN()),
+               std::domain_error);
+  EXPECT_EQ(util::Json::of_double(0.1).dump(), "0.1");
+  EXPECT_EQ(util::Json::of_double(-0.5).dump(), "-0.5");
 }
 
 TEST(ReproSchema, CurrentWriterOutputStillLoads) {

@@ -1,25 +1,28 @@
-// The SoA transit store and the sharded flat engine carry a single
-// contract: STORAGE AND PARTITIONING ARE NEVER OBSERVABLE.
+// Engine-level pins for the transit store: STORAGE IS NEVER OBSERVABLE.
 //
-//   * Engine with TransitKind::kSoa is bit-identical to the legacy
-//     per-destination calendar queues — same event trace, same stats, same
-//     fuzz signature — over the whole conformance-vector corpus, every
-//     scheduler, crashes, and the golden fingerprints pinned against the
-//     original heap engine two overhauls ago.
-//   * run_flat() is bit-identical at any shard count — 1, 2, 8, and
-//     oversubscribed past the core count — same stats, same signature,
-//     same merged (tick, pid) event stream.
-//   * The obs registry mirror agrees exactly with the run: flat.* counters
-//     equal FlatStats, and a Perfetto export of the merged events validates
-//     against the registry's sim.events.* counts.
+// The shared SoA transit store (sim/soa_transit.hpp) replaced, in turn, a
+// per-destination binary heap and a per-destination calendar queue. Every
+// replacement had to keep the exact (deliver_at, seq) delivery order and
+// the RNG draw sequence, so each run must still produce the outputs the
+// older stores produced:
+//
+//   * the golden fingerprints captured from the original heap engine
+//     (the same constants test_determinism.cpp pins);
+//   * per-run outputs recorded from the calendar-queue engine just before it
+//     was deleted — signature, oracle failures, run stats, end time, and an
+//     FNV hash of the full captured trace — over the whole conformance-
+//     vector corpus, two adversary regimes with retransmission, and a
+//     gossip workload under every scheduler with and without crashes.
+//
+// The recorded tables are literal, so a change that alters any delivery
+// order, any draw, or any oracle verdict fails here with the first field
+// that moved.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dining/client.hpp"
@@ -27,197 +30,13 @@
 #include "fuzz/oracles.hpp"
 #include "graph/conflict_graph.hpp"
 #include "harness/rig.hpp"
-#include "obs/metrics.hpp"
-#include "obs/perfetto.hpp"
 #include "reduce/extraction.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/flat_dining.hpp"
-#include "sim/sharded.hpp"
-#include "sim/soa_transit.hpp"
 
 namespace wfd::sim {
 namespace {
 
-bool same_event(const Event& a, const Event& b) {
-  return a.time == b.time && a.kind == b.kind && a.pid == b.pid &&
-         a.a == b.a && a.b == b.b && a.c == b.c;
-}
-
-// --- SoaTransit in isolation ------------------------------------------------
-
-/// Fill a message slot with an identifiable body.
-void stamp(Message& slot, ProcessId dst, std::uint64_t seq) {
-  slot.src = 0;
-  slot.dst = dst;
-  slot.port = 7;
-  slot.seq = seq;
-  slot.payload = Payload{1, seq, 0, 0};
-}
-
-TEST(SoaTransit, DrainsInDeliverAtThenSeqOrderAcrossAllBands) {
-  SoaTransit transit(2);
-  std::uint64_t seq = 0;
-  // Interleave pushes landing in the near wheel, the far wheel, and the
-  // outer band (past ~1M ticks), all for destination 0, plus noise for 1.
-  const Time far_start = 2 * SoaTransit::kFarWidth;  // initial horizon
-  const Time outer_start =
-      far_start + SoaTransit::kFarWidth * SoaTransit::kFarCount;
-  const std::vector<Time> dues = {
-      5,      outer_start + 9000, 700,  outer_start + 17,
-      40000,  outer_start + 17,   5,    far_start + 12345,
-      260000, 3,                  5000, outer_start + 9000,
-  };
-  for (const Time due : dues) {
-    stamp(transit.push(due, 0), 0, seq++);
-    stamp(transit.push(due + 1, 1), 1, seq++);
-  }
-  EXPECT_EQ(transit.size(), 2 * dues.size());
-
-  // Expected order for dst 0: sort the pushes by (due, push index).
-  std::vector<std::pair<Time, std::uint64_t>> expected;
-  for (std::size_t i = 0; i < dues.size(); ++i) {
-    expected.push_back({dues[i], 2 * i});  // seq of the dst-0 push
-  }
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  std::vector<std::pair<Time, std::uint64_t>> got;
-  const Time last = outer_start + 9001;
-  for (Time now = 1; now <= last; ++now) {
-    transit.advance(now);
-    transit.drain_ready(0, [&](const InTransit& item) {
-      got.push_back({item.deliver_at, item.msg.seq});
-      EXPECT_EQ(item.deliver_at, now);
-      return true;
-    });
-  }
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "position " << i;
-  }
-  EXPECT_EQ(transit.pending(0), 0u);
-  EXPECT_EQ(transit.size(), dues.size());  // dst 1 still queued
-}
-
-TEST(SoaTransit, DeferredItemsStayInOrderAndClearSettlesCounts) {
-  SoaTransit transit(3);
-  for (std::uint64_t i = 0; i < 6; ++i) stamp(transit.push(4, 2), 2, i);
-  stamp(transit.push(9000, 2), 2, 6);
-  for (Time now = 1; now <= 4; ++now) transit.advance(now);
-
-  // Defer everything once (one-per-sender step semantics does this), then
-  // drain: order must be unchanged.
-  transit.drain_ready(2, [](const InTransit&) { return false; });
-  std::uint64_t want = 0;
-  transit.drain_ready(2, [&](const InTransit& item) {
-    EXPECT_EQ(item.msg.seq, want++);
-    return want <= 3;  // consume 3, defer the rest again
-  });
-  EXPECT_EQ(transit.pending(2), 4u);  // 3 deferred + 1 in the far wheel
-
-  // Crash the destination: counters settle instantly, wheel slots lazily.
-  EXPECT_EQ(transit.clear_dst(2), 4u);
-  EXPECT_EQ(transit.pending(2), 0u);
-  EXPECT_EQ(transit.size(), 0u);
-  for (Time now = 5; now <= 9000; ++now) transit.advance(now);  // no crash
-  EXPECT_FALSE(transit.has_ready(2));
-}
-
-// --- Engine bit-identity: SoA vs legacy calendar queues ---------------------
-
-std::vector<std::string> vector_files() {
-  namespace fs = std::filesystem;
-  std::vector<std::string> files;
-  for (const auto& entry : fs::directory_iterator(WFD_VECTOR_DIR)) {
-    const std::string name = entry.path().filename().string();
-    if (name.find(".scenario.json") != std::string::npos) {
-      files.push_back(entry.path().string());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
-fuzz::RunResult run_mode(const fuzz::FuzzConfig& config, TransitKind transit,
-                         fuzz::RunCapture& capture) {
-  capture = fuzz::RunCapture{};
-  capture.transit = transit;
-  return fuzz::run_config(config, capture);
-}
-
-void expect_bit_identical(const fuzz::FuzzConfig& config,
-                          const std::string& label) {
-  fuzz::RunCapture legacy_capture, soa_capture;
-  const fuzz::RunResult legacy =
-      run_mode(config, TransitKind::kCalendar, legacy_capture);
-  const fuzz::RunResult soa = run_mode(config, TransitKind::kSoa, soa_capture);
-
-  EXPECT_EQ(legacy.signature, soa.signature) << label;
-  EXPECT_EQ(legacy.failures.size(), soa.failures.size()) << label;
-  for (std::size_t i = 0;
-       i < std::min(legacy.failures.size(), soa.failures.size()); ++i) {
-    EXPECT_EQ(legacy.failures[i].oracle, soa.failures[i].oracle) << label;
-    EXPECT_EQ(legacy.failures[i].at, soa.failures[i].at) << label;
-  }
-  const fuzz::RunStats& a = legacy.stats;
-  const fuzz::RunStats& b = soa.stats;
-  EXPECT_EQ(a.steps, b.steps) << label;
-  EXPECT_EQ(a.messages_sent, b.messages_sent) << label;
-  EXPECT_EQ(a.messages_delivered, b.messages_delivered) << label;
-  EXPECT_EQ(a.messages_dropped, b.messages_dropped) << label;
-  EXPECT_EQ(a.messages_lost, b.messages_lost) << label;
-  EXPECT_EQ(a.messages_duplicated, b.messages_duplicated) << label;
-  EXPECT_EQ(a.messages_retransmitted, b.messages_retransmitted) << label;
-  EXPECT_EQ(a.in_transit, b.in_transit) << label;
-  EXPECT_EQ(a.total_meals, b.total_meals) << label;
-  EXPECT_EQ(legacy_capture.end_time, soa_capture.end_time) << label;
-  ASSERT_EQ(legacy_capture.events.size(), soa_capture.events.size()) << label;
-  for (std::size_t i = 0; i < legacy_capture.events.size(); ++i) {
-    ASSERT_TRUE(same_event(legacy_capture.events[i], soa_capture.events[i]))
-        << label << ": first divergence at event " << i << ": "
-        << to_string(legacy_capture.events[i]) << " vs "
-        << to_string(soa_capture.events[i]);
-  }
-}
-
-TEST(SoaEngineDifferential, WholeVectorCorpusIsBitIdentical) {
-  const std::vector<std::string> files = vector_files();
-  ASSERT_GE(files.size(), 12u);
-  for (const std::string& file : files) {
-    scenario::Scenario scenario;
-    std::string error;
-    ASSERT_TRUE(scenario::load_scenario_file(file, &scenario, &error))
-        << file << ": " << error;
-    expect_bit_identical(scenario.config,
-                         std::filesystem::path(file).filename().string());
-  }
-}
-
-TEST(SoaEngineDifferential, AdversaryRegimesWithRetransmitAreBitIdentical) {
-  // Regimes past the corpus: loss + duplication + partitions + retransmit
-  // all at once, both dining and extraction targets.
-  for (const bool extraction : {false, true}) {
-    fuzz::FuzzConfig config;
-    config.seed = 99;
-    config.n = 5;
-    config.steps = 30000;
-    config.target =
-        extraction ? fuzz::TargetKind::kExtraction : fuzz::TargetKind::kDining;
-    config.scheduler = fuzz::SchedulerKind::kRandom;
-    config.loss_rate = 0.08;
-    config.dup_rate = 0.05;
-    config.dup_spread = 16;
-    config.partitions.push_back({300, 900, {0, 1}});
-    config.retransmit_every = 32;
-    config.retransmit_max = 8;
-    config.crashes.push_back({4, 4000});
-    expect_bit_identical(fuzz::normalize(config),
-                         extraction ? "extraction+adversary" : "dining+adversary");
-  }
-}
-
-// --- golden fingerprints under SoA (mirrors test_determinism.cpp) -----------
-
+/// FNV-1a over an event stream; order- and content-sensitive.
 struct TraceHasher {
   std::uint64_t hash = 1469598103934665603ull;
   std::uint64_t events = 0;
@@ -239,6 +58,174 @@ struct TraceHasher {
   }
 };
 
+// --- graded runs: recorded outputs of the calendar-queue engine ------------
+
+struct FailureGolden {
+  const char* oracle;
+  Time at;
+};
+
+/// The RunStats fields the calendar-vs-SoA differential compared.
+struct StatsGolden {
+  std::uint64_t steps, sent, delivered, dropped, lost, duplicated,
+      retransmitted, in_transit, meals;
+
+  friend bool operator==(const StatsGolden&, const StatsGolden&) = default;
+};
+
+struct RunGolden {
+  const char* label;
+  std::uint64_t signature;
+  std::vector<FailureGolden> failures;
+  StatsGolden stats;
+  Time end_time;
+  std::uint64_t events;
+  std::uint64_t trace_hash;
+};
+
+/// One entry per tests/vectors/*.scenario.json, in file-name order.
+const std::vector<RunGolden>& corpus_goldens() {
+  static const std::vector<RunGolden> goldens = {
+      {"v01_exclusive_clean.scenario.json", 7323368189752428597ull, {},
+       {60000, 9751, 9750, 0, 0, 0, 0, 1, 0},
+       60000, 89252, 4553536281350077569ull},
+      {"v02_mistake_prefix.scenario.json", 9760440174331375582ull, {},
+       {60000, 9938, 9938, 0, 0, 0, 0, 0, 0},
+       60000, 90071, 10572609871429292281ull},
+      {"v03_crash_regime.scenario.json", 1369493705387869789ull, {},
+       {60000, 9758, 9753, 3, 0, 0, 0, 2, 0},
+       60000, 90453, 1755379050851542256ull},
+      {"v04_broken_single_instance.scenario.json", 6672652495924741680ull,
+       {{"detector_accuracy", 49883}},
+       {50000, 7569, 7569, 0, 0, 0, 0, 0, 0},
+       50000, 73351, 7608834242483937238ull},
+      {"v05_broken_fork_based.scenario.json", 3699497974898882589ull,
+       {{"wx_safety", 39976}},
+       {40000, 4969, 4968, 0, 0, 0, 0, 1, 1656},
+       40000, 56566, 8667023430374321679ull},
+      {"v06_composed_pairs.scenario.json", 15069242850481240ull, {},
+       {60000, 10116, 10115, 0, 0, 0, 0, 1, 0},
+       60000, 93714, 3937675735438816328ull},
+      {"v07_dining_ring.scenario.json", 7080192192135770241ull, {},
+       {60000, 5687, 5686, 0, 0, 0, 0, 1, 1416},
+       60000, 77058, 5637319056732322977ull},
+      {"v08_dining_partial_synchrony.scenario.json", 4108423004453429634ull,
+       {},
+       {60000, 10808, 10808, 0, 0, 0, 0, 0, 1800},
+       60000, 88830, 13351985141762624213ull},
+      {"v09_pausing_mistakes.scenario.json", 1939926714253411186ull, {},
+       {60000, 9137, 9137, 0, 0, 0, 0, 0, 2280},
+       60000, 87402, 3653235703289971354ull},
+      {"v10_duplication_benign.scenario.json", 653344607480438495ull, {},
+       {60000, 9243, 11074, 0, 0, 1831, 0, 0, 2308},
+       60000, 89561, 15406932719894032229ull},
+      {"v11_permanent_partition.scenario.json", 11111939504788922195ull,
+       {{"wait_free", 60000}},
+       {60000, 202, 198, 4, 4, 0, 0, 0, 49},
+       60000, 60616, 9933769374385542940ull},
+      {"v12_heavy_loss_extraction.scenario.json", 13301805661473228098ull,
+       {{"detector_accuracy", 0}},
+       {60000, 10, 6, 4, 4, 0, 0, 0, 0},
+       60000, 60030, 7516143749622318979ull},
+      {"v13_transient_partition_still_fatal.scenario.json",
+       6515870864407015534ull,
+       {{"wait_free", 60000}},
+       {60000, 72, 68, 4, 4, 0, 0, 0, 15},
+       60000, 60220, 3016627830825913177ull},
+      {"v14_transient_partition_healed.scenario.json", 3351654544285605276ull,
+       {},
+       {60000, 7078, 7076, 0, 0, 0, 62, 2, 1765},
+       60000, 81229, 13792408660966625590ull},
+  };
+  return goldens;
+}
+
+void expect_matches_golden(const fuzz::FuzzConfig& config,
+                           const RunGolden& golden) {
+  const std::string label = golden.label;
+  fuzz::RunCapture capture;
+  const fuzz::RunResult run = fuzz::run_config(config, capture);
+
+  EXPECT_EQ(run.signature, golden.signature) << label;
+  ASSERT_EQ(run.failures.size(), golden.failures.size()) << label;
+  for (std::size_t i = 0; i < run.failures.size(); ++i) {
+    EXPECT_EQ(run.failures[i].oracle, golden.failures[i].oracle) << label;
+    EXPECT_EQ(run.failures[i].at, golden.failures[i].at) << label;
+  }
+  const fuzz::RunStats& s = run.stats;
+  const StatsGolden got{s.steps,
+                        s.messages_sent,
+                        s.messages_delivered,
+                        s.messages_dropped,
+                        s.messages_lost,
+                        s.messages_duplicated,
+                        s.messages_retransmitted,
+                        s.in_transit,
+                        s.total_meals};
+  EXPECT_EQ(got, golden.stats) << label;
+  EXPECT_EQ(capture.end_time, golden.end_time) << label;
+  EXPECT_EQ(capture.truncated, 0u) << label;
+  TraceHasher hasher;
+  for (const Event& event : capture.events) hasher.on_event(event);
+  EXPECT_EQ(hasher.events, golden.events) << label;
+  EXPECT_EQ(hasher.hash, golden.trace_hash) << label;
+}
+
+TEST(SoaEngineDifferential, WholeVectorCorpusIsBitIdentical) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(WFD_VECTOR_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".scenario.json") != std::string::npos) {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  const std::vector<RunGolden>& goldens = corpus_goldens();
+  // A new vector needs its own recorded row; a missing one is a lost pin.
+  ASSERT_EQ(files.size(), goldens.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    ASSERT_EQ(fs::path(files[i]).filename().string(), goldens[i].label);
+    scenario::Scenario scenario;
+    std::string error;
+    ASSERT_TRUE(scenario::load_scenario_file(files[i], &scenario, &error))
+        << files[i] << ": " << error;
+    expect_matches_golden(scenario.config, goldens[i]);
+  }
+}
+
+TEST(SoaEngineDifferential, AdversaryRegimesWithRetransmitAreBitIdentical) {
+  // Regimes past the corpus: loss + duplication + partitions + retransmit
+  // all at once, both dining and extraction targets.
+  const RunGolden goldens[] = {
+      {"dining+adversary", 8103682764340741797ull, {{"wait_free", 31820}},
+       {31820, 43, 40, 4, 4, 1, 37, 0, 7},
+       31820, 31965, 7543684248187481880ull},
+      {"extraction+adversary", 10942747319085140120ull, {},
+       {33300, 1344, 1397, 8, 8, 61, 173, 0, 0},
+       33300, 37825, 13532982038607939834ull},
+  };
+  for (const bool extraction : {false, true}) {
+    fuzz::FuzzConfig config;
+    config.seed = 99;
+    config.n = 5;
+    config.steps = 30000;
+    config.target =
+        extraction ? fuzz::TargetKind::kExtraction : fuzz::TargetKind::kDining;
+    config.scheduler = fuzz::SchedulerKind::kRandom;
+    config.loss_rate = 0.08;
+    config.dup_rate = 0.05;
+    config.dup_spread = 16;
+    config.partitions.push_back({300, 900, {0, 1}});
+    config.retransmit_every = 32;
+    config.retransmit_max = 8;
+    config.crashes.push_back({4, 4000});
+    expect_matches_golden(fuzz::normalize(config), goldens[extraction ? 1 : 0]);
+  }
+}
+
+// --- golden fingerprints (mirrors test_determinism.cpp) ---------------------
+
 struct Fingerprint {
   std::uint64_t trace_hash = 0;
   std::uint64_t events = 0;
@@ -259,9 +246,9 @@ std::uint64_t hash_stats(const Engine& engine) {
   return h.hash;
 }
 
-Fingerprint run_reduction_soa(std::uint64_t seed) {
-  harness::Rig rig(harness::RigOptions{
-      .seed = seed, .n = 3, .detector_lag = 25, .transit = TransitKind::kSoa});
+Fingerprint run_reduction(std::uint64_t seed) {
+  harness::Rig rig(
+      harness::RigOptions{.seed = seed, .n = 3, .detector_lag = 25});
   reduce::WaitFreeBoxFactory factory(
       [&rig](ProcessId p) { return rig.detectors[p].get(); });
   auto extraction = reduce::build_full_extraction(rig.hosts, factory,
@@ -275,9 +262,8 @@ Fingerprint run_reduction_soa(std::uint64_t seed) {
   return {hasher.hash, hasher.events, hash_stats(rig.engine)};
 }
 
-Fingerprint run_hygienic_soa(std::uint64_t seed) {
-  harness::Rig rig(harness::RigOptions{
-      .seed = seed, .n = 5, .transit = TransitKind::kSoa});
+Fingerprint run_hygienic(std::uint64_t seed) {
+  harness::Rig rig(harness::RigOptions{.seed = seed, .n = 5});
   auto instance = rig.add_hygienic_dining(10, 1, graph::make_ring(5));
   auto clients = rig.add_clients(instance, dining::ClientConfig{});
   TraceHasher hasher;
@@ -288,19 +274,19 @@ Fingerprint run_hygienic_soa(std::uint64_t seed) {
   return {hasher.hash, hasher.events, hash_stats(rig.engine)};
 }
 
-// The same constants test_determinism.cpp pins for the legacy storage —
-// captured from the ORIGINAL heap-based engine, two transit overhauls ago.
+// The same constants test_determinism.cpp pins — captured from the ORIGINAL
+// heap-based engine, two transit overhauls ago.
 constexpr Fingerprint kGoldenReduction{3659772812120896702ull, 28985,
                                        13410170420198056445ull};
 constexpr Fingerprint kGoldenHygienic{2405967122402567080ull, 25494,
                                       6419710400179810867ull};
 
 TEST(SoaEngineGolden, ReductionFingerprintSurvivesAThirdTransitOverhaul) {
-  EXPECT_EQ(run_reduction_soa(22), kGoldenReduction);
+  EXPECT_EQ(run_reduction(22), kGoldenReduction);
 }
 
 TEST(SoaEngineGolden, HygienicFingerprintSurvivesAThirdTransitOverhaul) {
-  EXPECT_EQ(run_hygienic_soa(3), kGoldenHygienic);
+  EXPECT_EQ(run_hygienic(3), kGoldenHygienic);
 }
 
 // --- scheduler sweep --------------------------------------------------------
@@ -318,10 +304,9 @@ class RingGossip final : public Process {
   std::uint64_t ticks_ = 0;
 };
 
-Fingerprint run_gossip(TransitKind transit, int scheduler, std::uint64_t seed,
-                       bool with_crashes) {
+Fingerprint run_gossip(int scheduler, std::uint64_t seed, bool with_crashes) {
   constexpr std::uint32_t n = 6;
-  Engine engine({.seed = seed, .transit = transit});
+  Engine engine({.seed = seed});
   for (std::uint32_t p = 0; p < n; ++p) {
     engine.add_process(std::make_unique<RingGossip>(n));
   }
@@ -355,131 +340,25 @@ Fingerprint run_gossip(TransitKind transit, int scheduler, std::uint64_t seed,
 }
 
 TEST(SoaEngineDifferential, EverySchedulerMatchesLegacyWithAndWithoutCrashes) {
+  // Recorded from the calendar-queue engine: scheduler 0 round-robin,
+  // 1 random, 2 weighted, 3 pausing; crashes off, then on.
+  constexpr Fingerprint kLegacy[4][2] = {
+      {{6622720735466614710ull, 29987, 1886913122768223536ull},
+       {4047398157093218788ull, 29995, 396842932858478840ull}},
+      {{3951587625744091611ull, 29718, 292602400178550095ull},
+       {17408170269525657959ull, 29955, 14719318457322181534ull}},
+      {{3900436049962392809ull, 24237, 17830983277244531263ull},
+       {13859172880248042055ull, 26914, 11899685347254664955ull}},
+      {{1441611576770142268ull, 29638, 8718616076557240543ull},
+       {12916802870630007558ull, 29824, 6155344255396555360ull}},
+  };
   for (int scheduler = 0; scheduler < 4; ++scheduler) {
     for (const bool crashes : {false, true}) {
-      EXPECT_EQ(run_gossip(TransitKind::kCalendar, scheduler, 11, crashes),
-                run_gossip(TransitKind::kSoa, scheduler, 11, crashes))
+      EXPECT_EQ(run_gossip(scheduler, 11, crashes),
+                kLegacy[scheduler][crashes ? 1 : 0])
           << "scheduler " << scheduler << " crashes " << crashes;
     }
   }
-}
-
-// --- sharded flat engine ----------------------------------------------------
-
-FlatConfig shard_config(std::uint32_t shards) {
-  FlatConfig config;
-  config.seed = 77;
-  config.n = 96;
-  config.steps = 4000;
-  config.shards = shards;
-  config.delay_min = 1;
-  config.delay_max = 4;
-  config.hunger_pct = 30;
-  config.eat_ticks = 3;
-  config.hb_every = 16;
-  config.suspect_after = 64;  // > hb_every + delay_max: no false suspicion
-  config.crashes = {{5, 100}, {17, 700}};
-  config.record_events = true;
-  return config;
-}
-
-TEST(ShardedFlat, BitIdenticalAtEveryShardCountIncludingOversubscribed) {
-  const FlatResult base = run_flat(shard_config(1));
-  EXPECT_GT(base.stats.meals, 0u);
-  EXPECT_EQ(base.stats.crashes, 2u);
-  EXPECT_EQ(base.stats.messages_sent,
-            base.stats.messages_delivered + base.stats.messages_dropped +
-                base.in_flight);
-
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  for (const std::uint32_t shards :
-       {2u, 8u, 2 * hw}) {  // oversubscribed: 2x the machine's cores
-    const FlatResult got = run_flat(shard_config(shards));
-    EXPECT_EQ(got.signature, base.signature) << shards << " shards";
-    EXPECT_EQ(got.stats, base.stats) << shards << " shards";
-    EXPECT_EQ(got.in_flight, base.in_flight) << shards << " shards";
-    ASSERT_EQ(got.events.size(), base.events.size()) << shards << " shards";
-    for (std::size_t i = 0; i < got.events.size(); ++i) {
-      ASSERT_TRUE(same_event(got.events[i], base.events[i]))
-          << shards << " shards: first divergence at event " << i;
-    }
-  }
-}
-
-TEST(ShardedFlat, RunsArePureFunctionsOfSeed) {
-  FlatConfig config = shard_config(2);
-  const FlatResult a = run_flat(config);
-  const FlatResult b = run_flat(config);
-  EXPECT_EQ(a.signature, b.signature);
-  config.seed = 78;
-  EXPECT_NE(run_flat(config).signature, a.signature);
-}
-
-/// Did `pid` ever start eating in `result`?
-bool ever_ate(const FlatResult& result, ProcessId pid) {
-  for (const Event& event : result.events) {
-    if (event.kind == EventKind::kDinerTransition && event.pid == pid &&
-        event.c == static_cast<std::uint64_t>(FlatPhase::kEating)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-TEST(ShardedFlat, SuspicionOverrideKeepsTheCrashedForkHoldersNeighborEating) {
-  // Diner 5 dies at tick 0 holding the edge-5 fork (the initial dirty-fork
-  // orientation puts edge e's fork at its lower endpoint). Diner 6's left
-  // fork is gone forever: only the timeout override can let 6 eat.
-  FlatConfig config = shard_config(4);
-  config.crashes = {{5, 0}};
-  const FlatResult with_detector = run_flat(config);
-  EXPECT_TRUE(ever_ate(with_detector, 6))
-      << "suspicion override never fired for the dead fork holder";
-
-  // The control: detector off, same crash — diner 6 blocks forever on the
-  // lost fork (the flat-engine reproduction of the v13 starvation finding,
-  // and of why the wait-free transformation needs the detector at all).
-  config.suspect_after = 0;
-  const FlatResult without_detector = run_flat(config);
-  EXPECT_FALSE(ever_ate(without_detector, 6))
-      << "diner ate using a fork its dead neighbor took to the grave";
-  EXPECT_TRUE(ever_ate(without_detector, 2))
-      << "a diner with two live neighbors must keep eating either way";
-}
-
-// --- observability parity ---------------------------------------------------
-
-TEST(ShardedFlat, RegistryMirrorsStatsAndPerfettoExportMatchesCounters) {
-  obs::Registry registry;
-  FlatConfig config = shard_config(3);
-  config.n = 24;
-  config.steps = 1500;
-  config.crashes = {{5, 100}};
-  config.metrics = &registry;
-  const FlatResult result = run_flat(config);
-
-  const obs::Snapshot snapshot = registry.snapshot();
-  EXPECT_EQ(snapshot.counter_value("flat.steps"), result.stats.steps);
-  EXPECT_EQ(snapshot.counter_value("flat.sent"), result.stats.messages_sent);
-  EXPECT_EQ(snapshot.counter_value("flat.delivered"),
-            result.stats.messages_delivered);
-  EXPECT_EQ(snapshot.counter_value("flat.dropped"),
-            result.stats.messages_dropped);
-  EXPECT_EQ(snapshot.counter_value("flat.meals"), result.stats.meals);
-  EXPECT_EQ(snapshot.counter_value("flat.crashes"), result.stats.crashes);
-  ASSERT_NE(snapshot.find_gauge("flat.shards"), nullptr);
-  EXPECT_EQ(snapshot.find_gauge("flat.shards")->value, 3.0);
-
-  // The merged event stream was replayed through a registry-bound Trace;
-  // a Perfetto export of the same stream must agree with those counters
-  // exactly, kind by kind.
-  std::ostringstream out;
-  obs::write_perfetto(result.events, out);
-  const std::map<std::string, std::uint64_t> expected =
-      obs::expected_counts_from(snapshot);
-  ASSERT_FALSE(expected.empty());
-  std::string why;
-  EXPECT_TRUE(obs::validate_trace_json(out.str(), &expected, &why)) << why;
 }
 
 }  // namespace

@@ -54,9 +54,9 @@ E23_EXECUTIONS = {"cold", "snapshot"}
 E23_ACCEPTANCE_FLOOR = 10.0
 #: Namespaces a row's embedded metrics-registry snapshot may draw from —
 #: the prefixes registered by obs::Registry users across the tree
-#: (flat.* sharded engine, fuzz.* campaigns, mc.* exploration, serve.*
-#: daemon admission/cache/session counters, sim.* event loop).
-REGISTRY_PREFIXES = ("flat.", "fuzz.", "mc.", "serve.", "sim.")
+#: (fuzz.* campaigns, mc.* exploration, serve.* daemon admission/cache/
+#: session counters, sim.* event loop).
+REGISTRY_PREFIXES = ("fuzz.", "mc.", "serve.", "sim.")
 #: The exact member set of a histogram entry in a registry snapshot.
 HISTOGRAM_FIELDS = {"count", "sum", "mean", "p50", "p99"}
 

@@ -9,6 +9,8 @@ fails CI before any engine ever parses it. Checks, per file:
   * every section only uses its whitelisted keys (strictness mirrors the
     C++ parser: unknown keys are errors at EVERY level);
   * enum fields hold known values;
+  * probability fields (network.loss_rate, network.dup_rate, timing.geo_p)
+    are finite numbers within [0, 1];
   * "expect" names at least one engine and every named engine pins a
     verdict ("clean" | "violation"); "seeds" only appears under fuzz;
   * the mc envelope: no "mc" expectation alongside a network adversary or a
@@ -17,8 +19,10 @@ fails CI before any engine ever parses it. Checks, per file:
 Exit 0 iff every vector validates. Usage:
 
   tools/validate_vectors.py [vector-dir]      (default: tests/vectors)
+  tools/validate_vectors.py --selftest        (the validator's own checks)
 """
 import json
+import math
 import pathlib
 import sys
 
@@ -80,6 +84,17 @@ def check_enum(value, path, allowed):
         fail(path, f'"{value}" not one of {sorted(allowed)}')
 
 
+def check_probability(node, key, path):
+    """A probability field: a finite JSON number within [0, 1]."""
+    if key not in node:
+        return
+    value = node[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        fail(path, "expected a number")
+    if not math.isfinite(value) or not 0 <= value <= 1:
+        fail(path, f"must be a finite number in [0, 1], got {value}")
+
+
 def check_items(node, path, allowed):
     for item in node:
         check_keys(item, path, allowed)
@@ -132,6 +147,7 @@ def validate(doc):
         if "delay" not in doc["timing"]:
             fail("timing", 'requires "delay"')
         check_enum(doc["timing"]["delay"], "timing.delay", DELAYS)
+        check_probability(doc["timing"], "geo_p", "timing.geo_p")
     check_items(doc.get("crashes", []), "crashes[]", SECTION_KEYS["crashes[]"])
     check_items(doc.get("mistake_windows", []), "mistake_windows[]",
                 SECTION_KEYS["mistake_windows[]"])
@@ -141,6 +157,8 @@ def validate(doc):
             check_enum(doc["box"]["semantics"], "box.semantics", SEMANTICS)
     if "network" in doc:
         check_keys(doc["network"], "network", SECTION_KEYS["network"])
+        for key in ("loss_rate", "dup_rate"):
+            check_probability(doc["network"], key, f"network.{key}")
         check_items(doc["network"].get("partitions", []),
                     "network.partitions[]",
                     SECTION_KEYS["network.partitions[]"])
@@ -172,7 +190,44 @@ def validate(doc):
                               "abstraction (extraction targets only)")
 
 
+def selftest():
+    """Out-of-range and non-finite probabilities fail with a path-qualified
+    error; in-range ones pass."""
+    base = {"schema_version": 1, "name": "probe", "seed": 1,
+            "target": "dining", "topology": {"graph": "ring", "n": 3},
+            "steps": 1000, "expect": {"sim": {"verdict": "clean"}}}
+    cases = []
+    for key in ("loss_rate", "dup_rate"):
+        for value in (5, -0.5, math.inf, -math.inf, math.nan, "0.1"):
+            cases.append(({"network": {key: value}}, f"network.{key}"))
+    for value in (1.5, -0.1, math.inf):
+        cases.append(({"timing": {"delay": "geometric", "geo_p": value}},
+                      "timing.geo_p"))
+    failures = 0
+    for extra, path in cases:
+        try:
+            validate({**base, **extra})
+            print(f"FAIL accepted {extra}")
+            failures += 1
+        except Invalid as error:
+            if not str(error).startswith(path + ":"):
+                print(f"FAIL {extra}: error lacks path {path!r}: {error}")
+                failures += 1
+    for extra in ({"network": {"loss_rate": 0, "dup_rate": 1}},
+                  {"network": {"loss_rate": 0.25}},
+                  {"timing": {"delay": "geometric", "geo_p": 0.2}}):
+        try:
+            validate({**base, **extra})
+        except Invalid as error:
+            print(f"FAIL rejected {extra}: {error}")
+            failures += 1
+    print(f"validate_vectors selftest: {failures} failure(s)")
+    return 0 if failures == 0 else 1
+
+
 def main(argv):
+    if argv[1:] == ["--selftest"]:
+        return selftest()
     root = pathlib.Path(argv[1] if len(argv) > 1 else "tests/vectors")
     files = sorted(root.glob("*.scenario.json"))
     if len(files) < 12:
