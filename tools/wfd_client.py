@@ -10,8 +10,9 @@ Two faces:
         tools/wfd_client.py --connect /tmp/wfd.sock \
             --submit '{"kind":"campaign","runs":64,"targets":"all"}'
 
-    (--connect accepts a unix-socket path or HOST:PORT; --submit streams
-    progress heartbeats and the final result line to stdout);
+    (--connect accepts a unix-socket path or HOST:PORT, the latter with
+    TCP_NODELAY set; --submit streams progress heartbeats and the final
+    result line to stdout);
 
   * the end-to-end serve-smoke driver run by `ctest -L serve-smoke`:
 
@@ -19,7 +20,8 @@ Two faces:
 
     which spawns real daemon processes and walks the whole protocol
     surface over real sockets: submit/stream/complete, the cache-hit
-    short-circuit observable in serve.cache.* stats, a client vanishing
+    short-circuit observable in serve.cache.* stats, a ping, a submit and
+    its byte-identical cache hit over loopback TCP, a client vanishing
     mid-stream while another keeps being served, deterministic
     backpressure rejection at queue capacity (--workers 0 daemon), and a
     graceful SIGTERM drain that flushes in-flight results, exits 0 and
@@ -42,11 +44,14 @@ class Client:
     def __init__(self, target):
         if isinstance(target, tuple):
             self.sock = socket.create_connection(target, timeout=120)
+            # Requests are small writes; never hold one back for an ACK.
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         else:
             self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             self.sock.settimeout(120)
             self.sock.connect(target)
         self.reader = self.sock.makefile("r", encoding="utf-8", newline="\n")
+        self.last_line = ""
 
     def send(self, obj):
         self.sock.sendall((json.dumps(obj) + "\n").encode("utf-8"))
@@ -56,6 +61,7 @@ class Client:
         line = self.reader.readline()
         if not line:
             return None
+        self.last_line = line
         return json.loads(line)
 
     def recv_type(self, wanted, on_progress=None):
@@ -80,6 +86,13 @@ class Client:
             self.sock.close()
         except OSError:
             pass
+
+
+def payload_bytes(result_line):
+    """The raw payload of a result line (payload is its last member)."""
+    line = result_line.rstrip("\n")
+    marker = '"payload":'
+    return line[line.index(marker) + len(marker):-1]
 
 
 def parse_target(spec):
@@ -112,6 +125,9 @@ class Daemon:
     def client(self):
         return Client(self.sock_path)
 
+    def tcp_client(self):
+        return Client(("127.0.0.1", self.ready["tcp_port"]))
+
     def terminate_and_wait(self, timeout=120):
         self.proc.send_signal(signal.SIGTERM)
         return self.proc.wait(timeout=timeout)
@@ -140,7 +156,7 @@ def stats_registry(client):
 
 def e2e(binary, vectors_dir):
     print("serve-smoke e2e: submit/stream/complete")
-    daemon = Daemon(binary, ["--workers", "2"])
+    daemon = Daemon(binary, ["--workers", "2", "--tcp", "0"])
     try:
         client = daemon.client()
         client.send({"type": "ping"})
@@ -189,6 +205,28 @@ def e2e(binary, vectors_dir):
               == before.get("serve.cache.hits", 0) + 1,
               f"{before.get('serve.cache.hits')} -> "
               f"{after.get('serve.cache.hits')}")
+
+        # The same protocol over loopback TCP, beside the unix socket.
+        check("ready line reports the tcp port",
+              daemon.ready.get("tcp_port", 0) > 0, str(daemon.ready))
+        tcp = daemon.tcp_client()
+        tcp.send({"type": "ping"})
+        check("tcp ping/pong", tcp.recv().get("type") == "pong")
+        run = {"type": "submit", "kind": "run",
+               "config": {"seed": 21, "target": "dining", "n": 3}}
+        tcp.send(run)
+        tcp.recv_type("accepted")
+        fresh = tcp.recv_type("result")
+        fresh_bytes = payload_bytes(tcp.last_line)
+        check("tcp submit runs fresh", fresh.get("cached") is False
+              and fresh["payload"].get("verdict") is not None, str(fresh))
+        tcp.send(run)
+        tcp.recv_type("accepted")
+        hit = tcp.recv_type("result")
+        check("tcp resubmission is a cache hit", hit.get("cached") is True)
+        check("tcp cache hit is byte-identical",
+              payload_bytes(tcp.last_line) == fresh_bytes)
+        tcp.close()
 
         # A client that vanishes mid-stream must not take the daemon down.
         doomed = daemon.client()
