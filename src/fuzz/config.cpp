@@ -102,6 +102,29 @@ bool is_probability(double value) {
   return std::isfinite(value) && value >= 0.0 && value <= 1.0;
 }
 
+bool read_unsigned(const util::Json& value, std::uint64_t max,
+                   std::uint64_t* out, std::string* error) {
+  const auto reject = [&] {
+    if (error != nullptr) {
+      *error = "must be a non-negative integer no larger than " +
+               std::to_string(max) + ", got " + value.dump();
+    }
+    return false;
+  };
+  if (value.kind != util::Json::Kind::kNumber || value.number.empty()) {
+    return reject();
+  }
+  std::uint64_t parsed = 0;
+  for (const char c : value.number) {
+    if (c < '0' || c > '9') return reject();
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (digit > max || parsed > (max - digit) / 10) return reject();
+    parsed = parsed * 10 + digit;
+  }
+  *out = parsed;
+  return true;
+}
+
 const char* to_string(SchedulerKind kind) { return enum_name(kSchedulers, kind); }
 const char* to_string(DelayKind kind) { return enum_name(kDelays, kind); }
 const char* to_string(GraphKind kind) { return enum_name(kGraphs, kind); }
@@ -314,17 +337,33 @@ bool apply_config_json(const util::Json& root, FuzzConfig* out, std::string* err
     *out = parsed;
     return true;
   };
+  const auto integer = [&](const std::string& path, const util::Json& value,
+                           auto* field) {
+    std::string why;
+    return read_unsigned(value, field, &why) || fail(path + ": " + why);
+  };
+  // An integer member of a plan object; an absent one keeps its default.
+  const auto member = [&](const util::Json& item, const std::string& path,
+                          const char* name, auto* field) {
+    const util::Json* f = item.find(name);
+    std::string why;
+    return f == nullptr || read_unsigned(*f, field, &why) ||
+           fail(path + "." + name + ": " + why);
+  };
+  const auto at = [](const std::string& key, std::size_t i) {
+    return key + "[" + std::to_string(i) + "]";
+  };
   for (const auto& [key, value] : root.members) {
     if (key == "seed") {
-      out->seed = value.as_u64(out->seed);
+      if (!integer(key, value, &out->seed)) return false;
     } else if (key == "target") {
       if (!target_from_string(value.as_string(""), &out->target)) {
         return fail("unknown target: " + value.as_string(""));
       }
     } else if (key == "n") {
-      out->n = static_cast<std::uint32_t>(value.as_u64(out->n));
+      if (!integer(key, value, &out->n)) return false;
     } else if (key == "steps") {
-      out->steps = value.as_u64(out->steps);
+      if (!integer(key, value, &out->steps)) return false;
     } else if (key == "graph") {
       std::uint8_t raw = 0;
       if (!enum_from_name(kGraphs, value.as_string(""), &raw)) {
@@ -338,16 +377,22 @@ bool apply_config_json(const util::Json& root, FuzzConfig* out, std::string* err
       }
       out->scheduler = static_cast<SchedulerKind>(raw);
     } else if (key == "weights") {
-      out->weights.clear();
-      for (const util::Json& item : value.items) out->weights.push_back(item.as_u64(1));
+      out->weights.assign(value.items.size(), 1);
+      for (std::size_t i = 0; i < value.items.size(); ++i) {
+        if (!integer(at(key, i), value.items[i], &out->weights[i])) {
+          return false;
+        }
+      }
     } else if (key == "pauses") {
-      out->pauses.clear();
-      for (const util::Json& item : value.items) {
-        PausePlan pause;
-        if (const util::Json* f = item.find("pid")) pause.pid = static_cast<sim::ProcessId>(f->as_u64());
-        if (const util::Json* f = item.find("from")) pause.from = f->as_u64();
-        if (const util::Json* f = item.find("until")) pause.until = f->as_u64();
-        out->pauses.push_back(pause);
+      out->pauses.assign(value.items.size(), PausePlan{});
+      for (std::size_t i = 0; i < value.items.size(); ++i) {
+        const std::string path = at(key, i);
+        PausePlan& pause = out->pauses[i];
+        if (!member(value.items[i], path, "pid", &pause.pid) ||
+            !member(value.items[i], path, "from", &pause.from) ||
+            !member(value.items[i], path, "until", &pause.until)) {
+          return false;
+        }
       }
     } else if (key == "delay") {
       std::uint8_t raw = 0;
@@ -356,35 +401,40 @@ bool apply_config_json(const util::Json& root, FuzzConfig* out, std::string* err
       }
       out->delay = static_cast<DelayKind>(raw);
     } else if (key == "delay_min") {
-      out->delay_min = value.as_u64(out->delay_min);
+      if (!integer(key, value, &out->delay_min)) return false;
     } else if (key == "delay_max") {
-      out->delay_max = value.as_u64(out->delay_max);
+      if (!integer(key, value, &out->delay_max)) return false;
     } else if (key == "geo_p") {
       if (!probability(key, value, &out->geo_p)) return false;
     } else if (key == "gst") {
-      out->gst = value.as_u64(out->gst);
+      if (!integer(key, value, &out->gst)) return false;
     } else if (key == "crashes") {
-      out->crashes.clear();
-      for (const util::Json& item : value.items) {
-        CrashPlan crash;
-        if (const util::Json* f = item.find("pid")) crash.pid = static_cast<sim::ProcessId>(f->as_u64());
-        if (const util::Json* f = item.find("at")) crash.at = f->as_u64();
-        out->crashes.push_back(crash);
+      out->crashes.assign(value.items.size(), CrashPlan{});
+      for (std::size_t i = 0; i < value.items.size(); ++i) {
+        const std::string path = at(key, i);
+        CrashPlan& crash = out->crashes[i];
+        if (!member(value.items[i], path, "pid", &crash.pid) ||
+            !member(value.items[i], path, "at", &crash.at)) {
+          return false;
+        }
       }
     } else if (key == "mistakes") {
-      out->mistakes.clear();
-      for (const util::Json& item : value.items) {
-        detect::MistakeWindow window;
-        if (const util::Json* f = item.find("watcher")) window.watcher = static_cast<sim::ProcessId>(f->as_u64());
-        if (const util::Json* f = item.find("subject")) window.subject = static_cast<sim::ProcessId>(f->as_u64());
-        if (const util::Json* f = item.find("from")) window.from = f->as_u64();
-        if (const util::Json* f = item.find("until")) window.until = f->as_u64();
-        out->mistakes.push_back(window);
+      out->mistakes.assign(value.items.size(), detect::MistakeWindow{});
+      for (std::size_t i = 0; i < value.items.size(); ++i) {
+        const util::Json& item = value.items[i];
+        const std::string path = at(key, i);
+        detect::MistakeWindow& window = out->mistakes[i];
+        if (!member(item, path, "watcher", &window.watcher) ||
+            !member(item, path, "subject", &window.subject) ||
+            !member(item, path, "from", &window.from) ||
+            !member(item, path, "until", &window.until)) {
+          return false;
+        }
       }
     } else if (key == "detector_lag") {
-      out->detector_lag = value.as_u64(out->detector_lag);
+      if (!integer(key, value, &out->detector_lag)) return false;
     } else if (key == "exclusive_from") {
-      out->exclusive_from = value.as_u64(out->exclusive_from);
+      if (!integer(key, value, &out->exclusive_from)) return false;
     } else if (key == "semantics") {
       const std::string name = value.as_string("lockout");
       if (name == "lockout") {
@@ -395,9 +445,9 @@ bool apply_config_json(const util::Json& root, FuzzConfig* out, std::string* err
         return fail("unknown semantics: " + name);
       }
     } else if (key == "member0_burst") {
-      out->member0_burst = static_cast<std::uint32_t>(value.as_u64(out->member0_burst));
+      if (!integer(key, value, &out->member0_burst)) return false;
     } else if (key == "grant_holdoff") {
-      out->grant_holdoff = value.as_u64(out->grant_holdoff);
+      if (!integer(key, value, &out->grant_holdoff)) return false;
     } else if (key == "never_exit_member") {
       out->never_exit_member = static_cast<std::int32_t>(value.as_double(-1));
     } else if (key == "loss_rate") {
@@ -405,27 +455,34 @@ bool apply_config_json(const util::Json& root, FuzzConfig* out, std::string* err
     } else if (key == "dup_rate") {
       if (!probability(key, value, &out->dup_rate)) return false;
     } else if (key == "dup_spread") {
-      out->dup_spread = value.as_u64(out->dup_spread);
+      if (!integer(key, value, &out->dup_spread)) return false;
     } else if (key == "retransmit_every") {
-      out->retransmit_every = value.as_u64(out->retransmit_every);
+      if (!integer(key, value, &out->retransmit_every)) return false;
     } else if (key == "retransmit_max") {
-      out->retransmit_max =
-          static_cast<std::uint32_t>(value.as_u64(out->retransmit_max));
+      if (!integer(key, value, &out->retransmit_max)) return false;
     } else if (key == "partitions") {
-      out->partitions.clear();
-      for (const util::Json& item : value.items) {
-        sim::PartitionWindow window;
-        if (const util::Json* f = item.find("from")) window.from = f->as_u64();
-        if (const util::Json* f = item.find("until")) {
-          const sim::Time until = f->as_u64();
+      out->partitions.assign(value.items.size(), sim::PartitionWindow{});
+      for (std::size_t i = 0; i < value.items.size(); ++i) {
+        const util::Json& item = value.items[i];
+        const std::string path = at(key, i);
+        sim::PartitionWindow& window = out->partitions[i];
+        sim::Time until = 0;
+        if (!member(item, path, "from", &window.from) ||
+            !member(item, path, "until", &until)) {
+          return false;
+        }
+        if (item.find("until") != nullptr) {
           window.until = until == 0 ? sim::kNever : until;  // 0 = never heals
         }
         if (const util::Json* f = item.find("side")) {
-          for (const util::Json& pid : f->items) {
-            window.side.push_back(static_cast<sim::ProcessId>(pid.as_u64()));
+          window.side.assign(f->items.size(), 0);
+          for (std::size_t j = 0; j < f->items.size(); ++j) {
+            if (!integer(at(path + ".side", j), f->items[j],
+                         &window.side[j])) {
+              return false;
+            }
           }
         }
-        out->partitions.push_back(window);
       }
     } else if (strict) {
       // Strict mode (.repro / scenario surfaces): an unrecognized key is a
@@ -434,6 +491,38 @@ bool apply_config_json(const util::Json& root, FuzzConfig* out, std::string* err
       return fail("unknown config key \"" + key + "\"");
     }
     // Lenient mode ignores unknown keys: forward compat for hand edits.
+  }
+
+  // Cross-field checks wait until every key is read: members come in any
+  // order, so "n" may follow the plans that name pids.
+  const auto pid = [&](const std::string& path, sim::ProcessId value) {
+    return value < out->n ||
+           fail(path + ": pid " + std::to_string(value) +
+                " is not below n = " + std::to_string(out->n));
+  };
+  for (std::size_t i = 0; i < out->pauses.size(); ++i) {
+    if (!pid(at("pauses", i) + ".pid", out->pauses[i].pid)) return false;
+  }
+  for (std::size_t i = 0; i < out->crashes.size(); ++i) {
+    if (!pid(at("crashes", i) + ".pid", out->crashes[i].pid)) return false;
+  }
+  for (std::size_t i = 0; i < out->mistakes.size(); ++i) {
+    if (!pid(at("mistakes", i) + ".watcher", out->mistakes[i].watcher) ||
+        !pid(at("mistakes", i) + ".subject", out->mistakes[i].subject)) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < out->partitions.size(); ++i) {
+    for (std::size_t j = 0; j < out->partitions[i].side.size(); ++j) {
+      if (!pid(at(at("partitions", i) + ".side", j),
+               out->partitions[i].side[j])) {
+        return false;
+      }
+    }
+  }
+  if (out->delay_min > out->delay_max) {
+    return fail("delay_min: " + std::to_string(out->delay_min) +
+                " exceeds delay_max " + std::to_string(out->delay_max));
   }
   return true;
 }
@@ -500,7 +589,8 @@ bool repro_from_json(const std::string& text, ReproCase* out,
       if (key == "oracle") {
         out->oracle = value.as_string("none");
       } else if (key == "at") {
-        out->at = value.as_u64();
+        std::string why;
+        if (!read_unsigned(value, &out->at, &why)) return fail("at: " + why);
       } else if (key == "detail") {
         out->detail = value.as_string("");
       } else {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,10 @@
 #include "dining/scripted_box.hpp"
 #include "sim/net.hpp"
 #include "sim/types.hpp"
+
+namespace wfd::util {
+struct Json;
+}  // namespace wfd::util
 
 namespace wfd::fuzz {
 
@@ -118,6 +123,25 @@ bool has_network_adversary(const FuzzConfig& config);
 /// geo_p): finite and within [0, 1]. Both JSON readers reject anything
 /// else, so no accepted config can carry a value the writers cannot render.
 bool is_probability(double value);
+
+/// Reads an integer field (n, steps, pids, times, weights): `value` must be
+/// a JSON number written as digits only — no sign, fraction, exponent or
+/// string — and at most `max`. On failure returns false, leaves *out alone
+/// and sets *error (without the field's path). Both JSON readers use it, so
+/// n = -3 or steps = 1.5 is an error instead of a wrapped or truncated value.
+bool read_unsigned(const util::Json& value, std::uint64_t max,
+                   std::uint64_t* out, std::string* error);
+
+/// read_unsigned bounded by the destination type.
+template <class T>
+bool read_unsigned(const util::Json& value, T* out, std::string* error) {
+  std::uint64_t wide = 0;
+  if (!read_unsigned(value, std::numeric_limits<T>::max(), &wide, error)) {
+    return false;
+  }
+  *out = static_cast<T>(wide);
+  return true;
+}
 
 /// Largest delay the configured model can draw (margin input for oracles).
 sim::Time effective_delay_max(const FuzzConfig& config);

@@ -2,10 +2,10 @@
 //
 // Every engine-visible state is a packed integral key ("code"). Models that
 // declare how many of the low bits are actually significant (the CompactModel
-// hook `code_bits()`) let the engine store frontiers bit-packed at that exact
-// width and switch the seen-set to a 32-bit-entry compact table — bytes/state
+// hook `code_bits()`, at most 63) let the engine store frontiers bit-packed at
+// that exact width and use the 32-bit-entry compact seen table — bytes/state
 // drops several-fold on the big composed spaces. Models without the hook get
-// the full 8*sizeof(bits) width and behave exactly as before.
+// the full 8*sizeof(bits) width and the classic 64-bit seen table.
 //
 // Two storage primitives live here:
 //  * PackedCodeVector — an append-only vector of fixed-width codes packed
@@ -27,19 +27,25 @@
 namespace wfd::mc {
 
 /// Models may declare the number of significant low bits of their packed
-/// state key. Must be in [1, 64] and every reachable state's code must fit:
-/// the engine reports a code with higher bits set as a model error.
+/// state key. Must be in [1, kMaxCodeBits] and every reachable state's code
+/// must fit: the engine reports a wider declaration, or a code with higher
+/// bits set, as a model error. Every model with the hook gets the compact
+/// seen table (seen.hpp); models without it use the full
+/// 8*sizeof(bits) width and the classic table.
 template <class M>
 concept CompactModel = requires(const M model) {
   { model.code_bits() } -> std::convertible_to<int>;
 };
 
+/// Widest code a CompactModel may declare (CompactSeenSet's range). The
+/// compact table's floor grows with the width — 2^(code_bits - 28) slots,
+/// 64MB at 52 bits — so widths far past today's 52 are impractical.
+inline constexpr int kMaxCodeBits = 63;
+
 template <class M>
 int model_code_bits(const M& model) {
   if constexpr (CompactModel<M>) {
-    const int bits = model.code_bits();
-    assert(bits >= 1 && bits <= 64);
-    return bits;
+    return model.code_bits();
   } else {
     return static_cast<int>(
         8 * sizeof(std::declval<typename M::State>().bits));

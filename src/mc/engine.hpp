@@ -3,9 +3,10 @@
 // Layer-synchronous BFS: all states at distance d are expanded (in parallel
 // chunks, by a persistent pool of worker threads synchronized with a
 // std::barrier) before any state at distance d+1. Deduplication goes through
-// a lock-free seen-set keyed by the model's packed state code — either the
-// classic 64-bit open-addressing table or, for models that declare
-// `code_bits()`, the bucketized 32-bit compact table (seen.hpp). Tables are
+// a lock-free seen-set keyed by the model's packed state code. The table is
+// fixed by the model's type at compile time: every model that declares
+// `code_bits()` gets the bucketized 32-bit CompactSeenSet, every other model
+// the classic 64-bit open-addressing SeenSet (seen.hpp). Tables are
 // pre-sized from CheckOptions::expected_states and otherwise grown
 // stop-the-world at the level barrier — the only quiescent point, which is
 // also what makes the resize safe without hazard pointers (no worker holds
@@ -59,6 +60,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -221,9 +223,21 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   };
 
   const int width = model_code_bits(model);
+  if constexpr (CompactModel<M>) {
+    // Checked before any table exists, so there is nothing to seal.
+    if (width < 1 || width > kMaxCodeBits) {
+      result.verdict = Verdict::kViolation;
+      result.counterexample = "model error: code_bits() = " +
+                              std::to_string(width) + " is outside [1, " +
+                              std::to_string(kMaxCodeBits) + "]";
+      return result;
+    }
+  }
   const std::uint64_t width_mask = code_mask(width);
 
-  detail::SeenIndex seen(width, options.expected_states);
+  using SeenTable = std::conditional_t<CompactModel<M>, detail::CompactSeenSet,
+                                       detail::SeenSet>;
+  SeenTable seen(width, options.expected_states);
   detail::SpillableFrontier frontier(width, options.frontier_budget_bytes);
   std::vector<detail::SpillableFrontier::Producer> producers;
   producers.reserve(static_cast<std::size_t>(workers));
@@ -234,7 +248,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
   std::unique_ptr<obs::Scope> mscope;
   obs::Registry::Id m_states = 0, m_transitions = 0, m_levels = 0;
   obs::Registry::Id m_level_rate = 0, m_barrier = 0, g_seen_load = 0;
-  obs::Registry::Id g_frontier_peak = 0, g_spilled = 0;
+  obs::Registry::Id g_frontier_peak = 0, g_spilled = 0, g_stash = 0;
   if (metrics != nullptr) {
     m_states = metrics->counter("mc.states");
     m_transitions = metrics->counter("mc.transitions");
@@ -244,6 +258,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
     g_seen_load = metrics->gauge("mc.seen_load_pct");
     g_frontier_peak = metrics->gauge("mc.frontier_peak_bytes");
     g_spilled = metrics->gauge("mc.spilled_bytes");
+    g_stash = metrics->gauge("mc.seen_stash_entries");
     mscope = std::make_unique<obs::Scope>(*metrics);
   }
 
@@ -268,6 +283,9 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
                          static_cast<double>(result.frontier_peak_bytes));
       metrics->set_gauge(g_spilled,
                          static_cast<double>(result.spilled_bytes));
+      std::uint64_t stash = 0;  // the classic table never overflows a bucket
+      if constexpr (CompactModel<M>) stash = seen.stash_size();
+      metrics->set_gauge(g_stash, static_cast<double>(stash));
     }
   };
 
@@ -293,7 +311,7 @@ CheckResult run_check(const M& model, const CheckOptions& options = {}) {
       seal(0);
       return result;
     }
-    if (seen.insert(code)) producers[0].push(code);
+    if (seen.insert(code, detail::mix64(code))) producers[0].push(code);
   }
   producers[0].flush();
 

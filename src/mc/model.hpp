@@ -87,12 +87,17 @@ struct CheckOptions {
   /// Abort (verdict = kBudgetExceeded) past this count.
   std::uint64_t max_states = 50'000'000;
   /// Pre-size hint for the seen-set (reachable-state estimate). 0 = unknown;
-  /// the table then starts small and grows at level barriers. Sweep runners
-  /// forward this from campaign metadata so big runs never rehash.
+  /// the table then starts at its floor and grows at level barriers. Sweep
+  /// runners forward this from campaign metadata so big runs never rehash.
+  /// It only sizes the table; which table is fixed by the model's type
+  /// (engine.hpp). Wide codes set a floor no hint goes below (2^24 slots
+  /// at 52 bits).
   std::uint64_t expected_states = 0;
   /// Optional metrics registry: the engine registers mc.states /
   /// mc.transitions / mc.levels counters, an mc.level_states_per_sec and a
-  /// per-worker mc.barrier_wait_us histogram, and an mc.seen_load_pct gauge.
+  /// per-worker mc.barrier_wait_us histogram, and mc.seen_load_pct /
+  /// mc.seen_stash_entries gauges (the stash holds the compact table's
+  /// bucket overflow; always 0 for the classic table).
   /// Instrumentation never changes the exploration (the verdict and counts
   /// stay thread-count-independent and identical to an uninstrumented run).
   obs::Registry* metrics = nullptr;

@@ -1,31 +1,35 @@
-// Seen-set implementations for the model-checking engine.
+// Seen-set tables for the model-checking engine.
 //
 // Two lock-free membership tables share the same discipline (CAS inserts on
-// the hot path, stop-the-world growth only at the engine's level barrier):
+// the hot path, stop-the-world growth only at the engine's level barrier)
+// and the same probe surface — a `(code_bits, expected)` constructor,
+// `insert(code, mix_hash)`, `prefetch(code, mix_hash)`, `reserve_level`,
+// `capacity` and `bytes` — so the engine picks one at compile time from the
+// model's type (engine.hpp) and never branches per probe:
 //
 //  * SeenSet — the classic open-addressing table of raw 64-bit packed keys
-//    (8 bytes/slot, <=50% load). Works for any model; the all-ones key is
-//    reserved as the empty sentinel.
-//  * CompactSeenSet — a bucketized table of 32-bit entries for models that
-//    declare `code_bits()` <= 63. Codes are hashed with an odd-multiplier
-//    bijection over [0, 2^code_bits); the top bits of the hash pick a
-//    bucket (8 entries = one cache line) and the low bits are stored as the
-//    entry's remainder, so membership is EXACT and every stored code can be
-//    reconstructed (multiply by the modular inverse) when the table grows.
-//    4 bytes/slot at a <=75% sizing target — on the 8.3M-state two-pair
-//    space this is 64MB where the classic table needs 268MB. The rare
+//    (8 bytes/slot, <=50% load), for models without a `code_bits()` hook.
+//    The all-ones key is reserved as the empty sentinel. It probes with the
+//    caller's mix64 hash and ignores the code width.
+//  * CompactSeenSet — a bucketized table of 32-bit entries for every model
+//    that declares `code_bits()` (in [1, 63]). Codes are hashed with an
+//    odd-multiplier bijection over [0, 2^code_bits); the top bits of the
+//    hash pick a bucket (8 entries = one cache line) and the low bits are
+//    stored as the entry's remainder, so membership is EXACT and every
+//    stored code can be reconstructed (multiply by the modular inverse)
+//    when the table grows. It derives its own hash and ignores the mix64
+//    one. 4 bytes/slot at a <=75% sizing target — on the 8.3M-state
+//    two-pair space this is 64MB where the classic table needs 268MB. Wide
+//    codes set a floor: the remainder must fit 31 bits, so 52-bit codes
+//    start at 2^24 slots (64MB) whatever the size hint. The rare
 //    bucket-overflow falls back to a small mutex-guarded stash (set
 //    semantics keep the exploration deterministic either way).
-//
-// SeenIndex picks whichever representation is smaller for the model's
-// declared code width and the caller's expected-states hint.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <mutex>
 #include <new>
 #include <unordered_set>
@@ -104,21 +108,19 @@ struct Slab {
 /// single-threaded.
 class SeenSet {
  public:
-  explicit SeenSet(std::uint64_t expected_states) {
+  /// The code width is irrelevant to raw 64-bit keys.
+  SeenSet(int /*code_bits*/, std::uint64_t expected_states) {
     std::uint64_t capacity = kMinSlots;
     // Size for a <=50% steady-state load factor on the hinted state count.
     while (capacity < expected_states * 2) capacity <<= 1;
     rebuild(capacity);
   }
 
-  /// True iff `key` was not present. Safe to call from any worker thread.
-  /// The set does not count its own fill (that would be a shared atomic
-  /// increment per new state); the engine derives it from its level
-  /// accounting and passes it back into reserve_level.
-  bool insert(std::uint64_t key) { return insert_hashed(mix64(key), key); }
-
-  /// Insert with a precomputed mix64 hash (pairs with `prefetch`).
-  bool insert_hashed(std::uint64_t hash, std::uint64_t key) {
+  /// True iff `key` was not present; `hash` must be mix64(key). Safe to
+  /// call from any worker thread. The set does not count its own fill (that
+  /// would be a shared atomic increment per new state); the engine derives
+  /// it from its level accounting and passes it back into reserve_level.
+  bool insert(std::uint64_t key, std::uint64_t hash) {
     assert(key != kReservedKey && "packed state collides with the sentinel");
     std::size_t i = static_cast<std::size_t>(hash) & mask_;
     for (;;) {
@@ -138,7 +140,7 @@ class SeenSet {
 
   /// Warm the cache line of `hash`'s home slot; batching prefetches before
   /// a run of inserts hides the DRAM latency of the (random-access) table.
-  void prefetch(std::uint64_t hash) const {
+  void prefetch(std::uint64_t /*key*/, std::uint64_t hash) const {
     __builtin_prefetch(&slots_[static_cast<std::size_t>(hash) & mask_], 1, 3);
   }
 
@@ -193,9 +195,9 @@ inline constexpr std::uint64_t odd_inverse(std::uint64_t a) {
 }
 
 /// Bucketized compact membership table for codes < 2^code_bits (code_bits
-/// <= 63). See the file comment for the layout. Eligibility: the remainder
-/// (code_bits - bucket_bits hash bits) must fit an entry's 31 payload bits,
-/// i.e. slot count >= 2^(code_bits - 28).
+/// in [1, kMaxCodeBits]). See the file comment for the layout. The
+/// remainder (code_bits - bucket_bits hash bits) must fit an entry's 31
+/// payload bits, i.e. slot count >= 2^(code_bits - 28).
 class CompactSeenSet {
  public:
   static constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull | 1ull;
@@ -203,24 +205,15 @@ class CompactSeenSet {
   static constexpr std::uint32_t kOccupied = 1u << 31;
   static constexpr int kBucketSlots = 8;  // 8 x 4B = one cache line
 
-  /// Smallest power-of-two slot count that can represent `code_bits`-wide
-  /// codes at or below a 75% sizing target for `expected` states.
-  static std::uint64_t slots_for(int code_bits, std::uint64_t expected) {
-    std::uint64_t slots = kMinSlots;
-    while (slots * 3 < expected * 4) slots <<= 1;
-    while (code_bits - bucket_bits_for(slots) > 31) slots <<= 1;
-    return slots;
-  }
-
   CompactSeenSet(int code_bits, std::uint64_t expected)
       : code_bits_(code_bits) {
-    assert(code_bits >= 1 && code_bits <= 63);
+    assert(code_bits >= 1 && code_bits <= kMaxCodeBits);
     rebuild(slots_for(code_bits, expected));
   }
 
   /// True iff `code` was not present. Lock-free except for the rare
   /// bucket-overflow stash.
-  bool insert(std::uint64_t code) {
+  bool insert(std::uint64_t code, std::uint64_t /*mix_hash*/) {
     assert((code >> code_bits_) == 0);
     const std::uint64_t h = (code * kMul) & code_mask(code_bits_);
     const std::size_t bucket = static_cast<std::size_t>(h >> rem_bits_);
@@ -246,7 +239,7 @@ class CompactSeenSet {
     return stash_.insert(code).second;
   }
 
-  void prefetch(std::uint64_t code) const {
+  void prefetch(std::uint64_t code, std::uint64_t /*mix_hash*/) const {
     const std::uint64_t h = (code * kMul) & code_mask(code_bits_);
     __builtin_prefetch(
         slots_ + static_cast<std::size_t>(h >> rem_bits_) * kBucketSlots, 1, 3);
@@ -272,9 +265,9 @@ class CompactSeenSet {
       const std::uint64_t bucket = i / kBucketSlots;
       const std::uint64_t h =
           (bucket << old_rem_bits) | (e & ~kOccupied);
-      insert((h * kMulInv) & code_mask(code_bits_));
+      insert((h * kMulInv) & code_mask(code_bits_), 0);
     }
-    for (const std::uint64_t code : old_stash) insert(code);
+    for (const std::uint64_t code : old_stash) insert(code, 0);
   }
 
   std::uint64_t capacity() const { return slot_count_; }
@@ -293,6 +286,15 @@ class CompactSeenSet {
     int bits = 0;
     while ((std::uint64_t{kBucketSlots} << bits) < slots) ++bits;
     return bits;
+  }
+
+  /// Smallest power-of-two slot count that can represent `code_bits`-wide
+  /// codes at or below a 75% sizing target for `expected` states.
+  static std::uint64_t slots_for(int code_bits, std::uint64_t expected) {
+    std::uint64_t slots = kMinSlots;
+    while (slots * 3 < expected * 4) slots <<= 1;
+    while (code_bits - bucket_bits_for(slots) > 31) slots <<= 1;
+    return slots;
   }
 
   void rebuild(std::uint64_t slots) {
@@ -317,64 +319,6 @@ class CompactSeenSet {
   std::uint64_t slot_count_ = 0;
   std::mutex stash_mutex_;
   std::unordered_set<std::uint64_t> stash_;
-};
-
-/// Facade over the two tables: picks whichever representation is smaller
-/// for the model's declared code width and the expected-states hint, and
-/// forwards the engine's probe/growth calls.
-class SeenIndex {
- public:
-  SeenIndex(int code_bits, std::uint64_t expected_states) {
-    std::uint64_t classic_slots = 1ull << 16;
-    while (classic_slots < expected_states * 2) classic_slots <<= 1;
-    if (code_bits <= 63 &&
-        CompactSeenSet::slots_for(code_bits, expected_states) *
-                sizeof(std::uint32_t) <=
-            classic_slots * sizeof(std::uint64_t)) {
-      compact_ =
-          std::make_unique<CompactSeenSet>(code_bits, expected_states);
-    } else {
-      classic_ = std::make_unique<SeenSet>(expected_states);
-    }
-  }
-
-  /// `mix_hash` must be mix64(code); the classic table probes with it (the
-  /// compact table derives its own multiplicative hash — one imul).
-  bool insert(std::uint64_t code, std::uint64_t mix_hash) {
-    return compact_ ? compact_->insert(code)
-                    : classic_->insert_hashed(mix_hash, code);
-  }
-  bool insert(std::uint64_t code) {
-    return compact_ ? compact_->insert(code) : classic_->insert(code);
-  }
-
-  void prefetch(std::uint64_t code, std::uint64_t mix_hash) const {
-    if (compact_) {
-      compact_->prefetch(code);
-    } else {
-      classic_->prefetch(mix_hash);
-    }
-  }
-
-  void reserve_level(std::uint64_t fill, std::uint64_t projected_inserts) {
-    if (compact_) {
-      compact_->reserve_level(fill, projected_inserts);
-    } else {
-      classic_->reserve_level(fill, projected_inserts);
-    }
-  }
-
-  std::uint64_t capacity() const {
-    return compact_ ? compact_->capacity() : classic_->capacity();
-  }
-  std::uint64_t bytes() const {
-    return compact_ ? compact_->bytes() : classic_->bytes();
-  }
-  bool compact() const { return compact_ != nullptr; }
-
- private:
-  std::unique_ptr<SeenSet> classic_;
-  std::unique_ptr<CompactSeenSet> compact_;
 };
 
 }  // namespace detail

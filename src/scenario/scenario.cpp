@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "util/json.hpp"
 
@@ -40,6 +41,48 @@ bool parse_probability(Ctx& ctx, const Json& value, const std::string& path,
   return true;
 }
 
+/// Where a field sits — "base", "base.key", "base[index]" or
+/// "base[index].key" — kept in pieces and spelled out only for an error
+/// message, so a valid file builds no path strings.
+struct Field {
+  static constexpr std::size_t kNoIndex = ~std::size_t{0};
+  std::string_view base;
+  const char* key = nullptr;
+  std::size_t index = kNoIndex;
+
+  std::string path() const {
+    std::string out(base);
+    if (index != kNoIndex) out += "[" + std::to_string(index) + "]";
+    if (key != nullptr) out += std::string(".") + key;
+    return out;
+  }
+};
+
+/// An integer field (fuzz::read_unsigned), bounded by its destination type.
+template <class T>
+bool parse_unsigned(Ctx& ctx, const Json& value, const Field& field, T* out) {
+  std::string why;
+  return fuzz::read_unsigned(value, out, &why) || ctx.fail(field.path(), why);
+}
+
+/// A pid field: an integer naming one of the n processes.
+bool parse_pid(Ctx& ctx, const Json& value, const Field& field,
+               std::uint32_t n, sim::ProcessId* out) {
+  if (!parse_unsigned(ctx, value, field, out)) return false;
+  return *out < n ||
+         ctx.fail(field.path(), "pid " + std::to_string(*out) +
+                                    " is not below n = " + std::to_string(n));
+}
+
+/// Reads member `field.key` of `node` when present; absent keeps the
+/// default.
+template <class T>
+bool optional_unsigned(Ctx& ctx, const Json& node, const Field& field,
+                       T* out) {
+  const Json* f = node.find(field.key);
+  return f == nullptr || parse_unsigned(ctx, *f, field, out);
+}
+
 bool require_object(Ctx& ctx, const Json& value, const std::string& path) {
   if (value.kind == Json::Kind::kObject) return true;
   return ctx.fail(path, "expected a JSON object");
@@ -72,7 +115,7 @@ bool parse_topology(Ctx& ctx, const Json& node, fuzz::FuzzConfig* config) {
     return ctx.fail("topology.graph",
                     "unknown graph \"" + graph->as_string("") + "\"");
   }
-  config->n = static_cast<std::uint32_t>(n->as_u64(0));
+  if (!parse_unsigned(ctx, *n, {"topology.n"}, &config->n)) return false;
   if (config->n < 2) return ctx.fail("topology.n", "needs at least 2");
   return true;
 }
@@ -89,25 +132,34 @@ bool parse_scheduler(Ctx& ctx, const Json& node, fuzz::FuzzConfig* config) {
                     "unknown scheduler \"" + kind->as_string("") + "\"");
   }
   if (const Json* weights = node.find("weights")) {
-    config->weights.clear();
-    for (const Json& item : weights->items) {
-      config->weights.push_back(item.as_u64(1));
+    config->weights.assign(weights->items.size(), 1);
+    for (std::size_t i = 0; i < weights->items.size(); ++i) {
+      if (!parse_unsigned(ctx, weights->items[i],
+                          {"scheduler.weights", nullptr, i},
+                          &config->weights[i])) {
+        return false;
+      }
     }
   }
   if (const Json* pauses = node.find("pauses")) {
-    config->pauses.clear();
-    for (const Json& item : pauses->items) {
+    config->pauses.assign(pauses->items.size(), fuzz::PausePlan{});
+    for (std::size_t i = 0; i < pauses->items.size(); ++i) {
+      const Json& item = pauses->items[i];
+      constexpr std::string_view kPath = "scheduler.pauses";
+      fuzz::PausePlan& pause = config->pauses[i];
       if (!check_keys(ctx, item, "scheduler.pauses[]",
                       {"pid", "from", "until"})) {
         return false;
       }
-      fuzz::PausePlan pause;
       if (const Json* f = item.find("pid")) {
-        pause.pid = static_cast<sim::ProcessId>(f->as_u64());
+        if (!parse_pid(ctx, *f, {kPath, "pid", i}, config->n, &pause.pid)) {
+          return false;
+        }
       }
-      if (const Json* f = item.find("from")) pause.from = f->as_u64();
-      if (const Json* f = item.find("until")) pause.until = f->as_u64();
-      config->pauses.push_back(pause);
+      if (!optional_unsigned(ctx, item, {kPath, "from", i}, &pause.from) ||
+          !optional_unsigned(ctx, item, {kPath, "until", i}, &pause.until)) {
+        return false;
+      }
     }
   }
   return true;
@@ -124,14 +176,21 @@ bool parse_timing(Ctx& ctx, const Json& node, fuzz::FuzzConfig* config) {
     return ctx.fail("timing.delay",
                     "unknown delay \"" + delay->as_string("") + "\"");
   }
-  if (const Json* f = node.find("min")) config->delay_min = f->as_u64(1);
-  if (const Json* f = node.find("max")) config->delay_max = f->as_u64(8);
+  if (!optional_unsigned(ctx, node, {"timing", "min"}, &config->delay_min) ||
+      !optional_unsigned(ctx, node, {"timing", "max"}, &config->delay_max) ||
+      !optional_unsigned(ctx, node, {"timing", "gst"}, &config->gst)) {
+    return false;
+  }
+  if (config->delay_min > config->delay_max) {
+    return ctx.fail("timing.min", std::to_string(config->delay_min) +
+                                      " exceeds timing.max " +
+                                      std::to_string(config->delay_max));
+  }
   if (const Json* f = node.find("geo_p")) {
     if (!parse_probability(ctx, *f, "timing.geo_p", &config->geo_p)) {
       return false;
     }
   }
-  if (const Json* f = node.find("gst")) config->gst = f->as_u64(0);
   return true;
 }
 
@@ -142,8 +201,9 @@ bool parse_box(Ctx& ctx, const Json& node, fuzz::FuzzConfig* config) {
                    "grant_holdoff", "never_exit_member"})) {
     return false;
   }
-  if (const Json* f = node.find("exclusive_from")) {
-    config->exclusive_from = f->as_u64(0);
+  if (!optional_unsigned(ctx, node, {"box", "exclusive_from"},
+                         &config->exclusive_from)) {
+    return false;
   }
   if (const Json* f = node.find("semantics")) {
     const std::string name = f->as_string("");
@@ -155,11 +215,11 @@ bool parse_box(Ctx& ctx, const Json& node, fuzz::FuzzConfig* config) {
       return ctx.fail("box.semantics", "unknown semantics \"" + name + "\"");
     }
   }
-  if (const Json* f = node.find("member0_burst")) {
-    config->member0_burst = static_cast<std::uint32_t>(f->as_u64(0));
-  }
-  if (const Json* f = node.find("grant_holdoff")) {
-    config->grant_holdoff = f->as_u64(0);
+  if (!optional_unsigned(ctx, node, {"box", "member0_burst"},
+                         &config->member0_burst) ||
+      !optional_unsigned(ctx, node, {"box", "grant_holdoff"},
+                         &config->grant_holdoff)) {
+    return false;
   }
   if (const Json* f = node.find("never_exit_member")) {
     config->never_exit_member = static_cast<std::int32_t>(f->as_i64(-1));
@@ -184,28 +244,39 @@ bool parse_network(Ctx& ctx, const Json& node, fuzz::FuzzConfig* config) {
       return false;
     }
   }
-  if (const Json* f = node.find("dup_spread")) {
-    config->dup_spread = f->as_u64(8);
+  if (!optional_unsigned(ctx, node, {"network", "dup_spread"},
+                         &config->dup_spread)) {
+    return false;
   }
   if (const Json* partitions = node.find("partitions")) {
-    config->partitions.clear();
-    for (const Json& item : partitions->items) {
+    config->partitions.assign(partitions->items.size(),
+                              sim::PartitionWindow{});
+    for (std::size_t i = 0; i < partitions->items.size(); ++i) {
+      const Json& item = partitions->items[i];
+      constexpr std::string_view kPath = "network.partitions";
+      sim::PartitionWindow& window = config->partitions[i];
       if (!check_keys(ctx, item, "network.partitions[]",
                       {"from", "until", "side"})) {
         return false;
       }
-      sim::PartitionWindow window;
-      if (const Json* f = item.find("from")) window.from = f->as_u64();
-      if (const Json* f = item.find("until")) {
-        const sim::Time until = f->as_u64();
+      sim::Time until = 0;
+      if (!optional_unsigned(ctx, item, {kPath, "from", i}, &window.from) ||
+          !optional_unsigned(ctx, item, {kPath, "until", i}, &until)) {
+        return false;
+      }
+      if (item.find("until") != nullptr) {
         window.until = until == 0 ? sim::kNever : until;  // 0 = never heals
       }
       if (const Json* f = item.find("side")) {
-        for (const Json& pid : f->items) {
-          window.side.push_back(static_cast<sim::ProcessId>(pid.as_u64()));
+        const std::string side = Field{kPath, "side", i}.path();
+        window.side.assign(f->items.size(), 0);
+        for (std::size_t j = 0; j < f->items.size(); ++j) {
+          if (!parse_pid(ctx, f->items[j], {side, nullptr, j}, config->n,
+                         &window.side[j])) {
+            return false;
+          }
         }
       }
-      config->partitions.push_back(std::move(window));
     }
   }
   if (const Json* retransmit = node.find("retransmit")) {
@@ -214,11 +285,12 @@ bool parse_network(Ctx& ctx, const Json& node, fuzz::FuzzConfig* config) {
                     {"every", "max_attempts"})) {
       return false;
     }
-    if (const Json* f = retransmit->find("every")) {
-      config->retransmit_every = f->as_u64(0);
-    }
-    if (const Json* f = retransmit->find("max_attempts")) {
-      config->retransmit_max = static_cast<std::uint32_t>(f->as_u64(16));
+    if (!optional_unsigned(ctx, *retransmit, {"network.retransmit", "every"},
+                           &config->retransmit_every) ||
+        !optional_unsigned(ctx, *retransmit,
+                           {"network.retransmit", "max_attempts"},
+                           &config->retransmit_max)) {
+      return false;
     }
   }
   return true;
@@ -248,7 +320,14 @@ bool parse_expectation(Ctx& ctx, const Json& node, const std::string& path,
   }
   if (const Json* f = node.find("oracle")) out->oracle = f->as_string("");
   if (const Json* f = node.find("seeds")) {
-    for (const Json& seed : f->items) out->seeds.push_back(seed.as_u64(1));
+    const std::string seeds = path + ".seeds";
+    out->seeds.assign(f->items.size(), 1);
+    for (std::size_t i = 0; i < f->items.size(); ++i) {
+      if (!parse_unsigned(ctx, f->items[i], {seeds, nullptr, i},
+                          &out->seeds[i])) {
+        return false;
+      }
+    }
   }
   out->expected = true;
   return true;
@@ -291,7 +370,7 @@ bool parse_scenario(const std::string& text, Scenario* out,
   fuzz::FuzzConfig* config = &out->config;
   const Json* seed = root.find("seed");
   if (seed == nullptr) return ctx.fail("", "requires \"seed\"");
-  config->seed = seed->as_u64(1);
+  if (!parse_unsigned(ctx, *seed, {"seed"}, &config->seed)) return false;
   const Json* target = root.find("target");
   if (target == nullptr) return ctx.fail("", "requires \"target\"");
   if (!fuzz::target_from_string(target->as_string(""), &config->target)) {
@@ -303,7 +382,7 @@ bool parse_scenario(const std::string& text, Scenario* out,
   if (!parse_topology(ctx, *topology, config)) return false;
   const Json* steps = root.find("steps");
   if (steps == nullptr) return ctx.fail("", "requires \"steps\"");
-  config->steps = steps->as_u64(0);
+  if (!parse_unsigned(ctx, *steps, {"steps"}, &config->steps)) return false;
 
   if (const Json* node = root.find("scheduler")) {
     if (!parse_scheduler(ctx, *node, config)) return false;
@@ -312,38 +391,54 @@ bool parse_scenario(const std::string& text, Scenario* out,
     if (!parse_timing(ctx, *node, config)) return false;
   }
   if (const Json* node = root.find("crashes")) {
-    config->crashes.clear();
-    for (const Json& item : node->items) {
+    config->crashes.assign(node->items.size(), fuzz::CrashPlan{});
+    for (std::size_t i = 0; i < node->items.size(); ++i) {
+      const Json& item = node->items[i];
+      fuzz::CrashPlan& crash = config->crashes[i];
       if (!check_keys(ctx, item, "crashes[]", {"pid", "at"})) return false;
-      fuzz::CrashPlan crash;
       if (const Json* f = item.find("pid")) {
-        crash.pid = static_cast<sim::ProcessId>(f->as_u64());
+        if (!parse_pid(ctx, *f, {"crashes", "pid", i}, config->n,
+                       &crash.pid)) {
+          return false;
+        }
       }
-      if (const Json* f = item.find("at")) crash.at = f->as_u64();
-      config->crashes.push_back(crash);
+      if (!optional_unsigned(ctx, item, {"crashes", "at", i}, &crash.at)) {
+        return false;
+      }
     }
   }
   if (const Json* node = root.find("mistake_windows")) {
-    config->mistakes.clear();
-    for (const Json& item : node->items) {
+    config->mistakes.assign(node->items.size(), detect::MistakeWindow{});
+    for (std::size_t i = 0; i < node->items.size(); ++i) {
+      const Json& item = node->items[i];
+      constexpr std::string_view kPath = "mistake_windows";
+      detect::MistakeWindow& window = config->mistakes[i];
       if (!check_keys(ctx, item, "mistake_windows[]",
                       {"watcher", "subject", "from", "until"})) {
         return false;
       }
-      detect::MistakeWindow window;
       if (const Json* f = item.find("watcher")) {
-        window.watcher = static_cast<sim::ProcessId>(f->as_u64());
+        if (!parse_pid(ctx, *f, {kPath, "watcher", i}, config->n,
+                       &window.watcher)) {
+          return false;
+        }
       }
       if (const Json* f = item.find("subject")) {
-        window.subject = static_cast<sim::ProcessId>(f->as_u64());
+        if (!parse_pid(ctx, *f, {kPath, "subject", i}, config->n,
+                       &window.subject)) {
+          return false;
+        }
       }
-      if (const Json* f = item.find("from")) window.from = f->as_u64();
-      if (const Json* f = item.find("until")) window.until = f->as_u64();
-      config->mistakes.push_back(window);
+      if (!optional_unsigned(ctx, item, {kPath, "from", i}, &window.from) ||
+          !optional_unsigned(ctx, item, {kPath, "until", i}, &window.until)) {
+        return false;
+      }
     }
   }
   if (const Json* node = root.find("detector_lag")) {
-    config->detector_lag = node->as_u64(config->detector_lag);
+    if (!parse_unsigned(ctx, *node, {"detector_lag"}, &config->detector_lag)) {
+      return false;
+    }
   }
   if (const Json* node = root.find("box")) {
     if (!parse_box(ctx, *node, config)) return false;

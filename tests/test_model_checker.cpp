@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -232,7 +233,7 @@ TEST(ParallelEngine, BudgetStopIsDeterministicToo) {
 TEST(ParallelEngine, LockFreeSeenSetConcurrentInsert) {
   constexpr std::uint64_t kKeys = 200000;
   constexpr int kThreads = 8;
-  detail::SeenSet seen(kKeys);
+  detail::SeenSet seen(/*code_bits=*/64, kKeys);
   std::atomic<std::uint64_t> inserted{0};
   std::vector<std::thread> pool;
   pool.reserve(kThreads);
@@ -244,7 +245,7 @@ TEST(ParallelEngine, LockFreeSeenSetConcurrentInsert) {
       for (std::uint64_t i = 0; i < kKeys; ++i) {
         const std::uint64_t key =
             (i + static_cast<std::uint64_t>(t) * (kKeys / kThreads)) % kKeys;
-        if (seen.insert(key)) ++mine;
+        if (seen.insert(key, detail::mix64(key))) ++mine;
       }
       inserted.fetch_add(mine);
     });
@@ -253,7 +254,7 @@ TEST(ParallelEngine, LockFreeSeenSetConcurrentInsert) {
   EXPECT_EQ(inserted.load(), kKeys);
   // Re-inserting any key now fails.
   for (std::uint64_t key = 0; key < kKeys; key += 997) {
-    EXPECT_FALSE(seen.insert(key)) << key;
+    EXPECT_FALSE(seen.insert(key, detail::mix64(key))) << key;
   }
 }
 
@@ -739,7 +740,7 @@ TEST(ParallelEngine, CompactSeenSetConcurrentInsert) {
       for (std::uint64_t i = 0; i < kKeys; ++i) {
         const std::uint64_t code =
             (i + static_cast<std::uint64_t>(t) * (kKeys / kThreads)) % kKeys;
-        if (seen.insert(code)) ++mine;
+        if (seen.insert(code, /*mix_hash=*/0)) ++mine;
       }
       inserted.fetch_add(mine);
     });
@@ -747,7 +748,7 @@ TEST(ParallelEngine, CompactSeenSetConcurrentInsert) {
   for (std::thread& t : pool) t.join();
   EXPECT_EQ(inserted.load(), kKeys);
   for (std::uint64_t code = 0; code < kKeys; code += 997) {
-    EXPECT_FALSE(seen.insert(code)) << code;
+    EXPECT_FALSE(seen.insert(code, 0)) << code;
   }
 }
 
@@ -757,25 +758,131 @@ TEST(ParallelEngine, CompactSeenSetGrowthPreservesMembership) {
   detail::CompactSeenSet seen(/*code_bits=*/26, /*expected=*/0);
   constexpr std::uint64_t kKeys = 150000;
   for (std::uint64_t code = 0; code < kKeys; ++code) {
-    EXPECT_TRUE(seen.insert(code * 37 % (1u << 26) | 1));
+    EXPECT_TRUE(seen.insert(code * 37 % (1u << 26) | 1, 0));
     if (code % 40000 == 39999) seen.reserve_level(code + 1, 50000);
   }
   seen.reserve_level(kKeys, kKeys);
   for (std::uint64_t code = 0; code < kKeys; code += 13) {
-    EXPECT_FALSE(seen.insert(code * 37 % (1u << 26) | 1)) << code;
+    EXPECT_FALSE(seen.insert(code * 37 % (1u << 26) | 1, 0)) << code;
   }
 }
 
-TEST(ParallelEngine, SeenIndexPicksTheSmallerTable) {
-  // 26-bit codes with an honest hint: the 4-byte-entry table wins.
-  EXPECT_TRUE(detail::SeenIndex(26, 516961).compact());
-  // 52-bit codes need >= 2^24 compact slots (remainder must fit 31 bits);
-  // without a size hint the classic table is smaller, with the real 8.3M
-  // hint the compact one is (64MB vs 268MB).
-  EXPECT_FALSE(detail::SeenIndex(52, 0).compact());
-  EXPECT_TRUE(detail::SeenIndex(52, 8340544).compact());
-  // Full-width keys can only use the classic table.
-  EXPECT_FALSE(detail::SeenIndex(64, 1000).compact());
+// Bucket overflow is rare at the compact table's sizing target, so no model
+// run reaches the stash; these codes are built to share one bucket instead.
+// The table's hash is h = code * kMul mod 2^code_bits, so h * kMulInv is the
+// code that hashes to h.
+TEST(ParallelEngine, CompactSeenSetStashTakesBucketOverflow) {
+  using Table = detail::CompactSeenSet;
+  constexpr int kBits = 26;
+  constexpr std::size_t kExtra = 8;  // codes past the bucket's 8 entries
+  constexpr int kThreads = 4;
+  Table seen(kBits, /*expected=*/0);
+  ASSERT_EQ(seen.capacity(), 1u << 16);  // 2^13 buckets
+  constexpr int kRemBits = kBits - 13;
+  constexpr std::uint64_t kBucket = 4321;
+  std::vector<std::uint64_t> codes;
+  for (std::uint64_t i = 0; i < Table::kBucketSlots + kExtra; ++i) {
+    // Remainders differ in their top bits, so a grown table (fewer
+    // remainder bits, more buckets) splits the codes apart.
+    const std::uint64_t h = (kBucket << kRemBits) | (i << 8);
+    codes.push_back((h * Table::kMulInv) & code_mask(kBits));
+  }
+  std::vector<std::atomic<int>> wins(codes.size());
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::size_t i = 0; i < codes.size(); ++i) {
+        const std::size_t k = (i + 3 * static_cast<std::size_t>(t)) %
+                              codes.size();
+        if (seen.insert(codes[k], 0)) wins[k].fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  for (std::size_t k = 0; k < codes.size(); ++k) {
+    EXPECT_EQ(wins[k].load(), 1) << "code " << k;
+    EXPECT_FALSE(seen.insert(codes[k], 0)) << "duplicate of code " << k;
+  }
+  EXPECT_EQ(seen.stash_size(), kExtra);
+
+  seen.reserve_level(codes.size(), 1u << 20);
+  EXPECT_GT(seen.capacity(), 1u << 16);
+  EXPECT_LE(seen.stash_size(), kExtra) << "growth must never feed the stash";
+  EXPECT_EQ(seen.stash_size(), 0u) << "these codes split across buckets";
+  for (std::size_t k = 0; k < codes.size(); ++k) {
+    EXPECT_FALSE(seen.insert(codes[k], 0)) << "code " << k << " lost";
+  }
+}
+
+// The grid with its 12 significant bits declared: a CompactModel, so it
+// gets the compact table (GridModel itself keeps the classic one).
+struct NarrowGridModel : GridModel {
+  int code_bits() const { return 12; }
+};
+// A hooked model declaring a full 64-bit width, outside the [1, 63]
+// contract.
+struct WideGridModel : GridModel {
+  int code_bits() const { return 64; }
+};
+static_assert(CompactModel<NarrowGridModel> && CompactModel<WideGridModel>);
+static_assert(!CompactModel<GridModel>);
+
+TEST(ParallelEngine, TableFollowsTheModelType) {
+  const CheckResult classic = run_check(GridModel{.side = 64}, {.threads = 2});
+  const CheckResult compact =
+      run_check(NarrowGridModel{{.side = 64}}, {.threads = 2});
+  ASSERT_TRUE(compact.ok()) << compact.counterexample;
+  EXPECT_EQ(compact.states, classic.states);
+  EXPECT_EQ(compact.transitions, classic.transitions);
+  EXPECT_EQ(compact.depth, classic.depth);
+  // Both tables sit at their 2^16-slot minimum: 8 vs 4 bytes a slot.
+  EXPECT_EQ(classic.seen_bytes, 8u << 16);
+  EXPECT_LT(compact.seen_bytes, classic.seen_bytes);
+}
+
+TEST(ParallelEngine, CodeBitsAbove63IsAModelError) {
+  for (const int threads : {1, 4}) {
+    const CheckResult result =
+        run_check(WideGridModel{{.side = 8}}, {.threads = threads});
+    EXPECT_EQ(result.verdict, Verdict::kViolation) << "threads=" << threads;
+    EXPECT_EQ(result.counterexample,
+              "model error: code_bits() = 64 is outside [1, 63]");
+    EXPECT_EQ(result.states, 0u);
+  }
+}
+
+// mc.seen_stash_entries reads the compact table's overflow stash; the
+// classic table has none. Both must agree with seen_bytes: the load gauge
+// gives the slot count, and the stash's entries cost bytes on top of the
+// compact table's 4 bytes a slot.
+TEST(ParallelEngine, SeenStashGaugeMatchesTheTable) {
+  const auto gauges = [](const obs::Registry& registry,
+                         const CheckResult& result) {
+    const obs::Snapshot snap = registry.snapshot();
+    const obs::Snapshot::Gauge* stash = snap.find_gauge("mc.seen_stash_entries");
+    const obs::Snapshot::Gauge* load = snap.find_gauge("mc.seen_load_pct");
+    EXPECT_NE(stash, nullptr);
+    EXPECT_NE(load, nullptr);
+    if (stash == nullptr || load == nullptr) return std::pair{-1.0, 0.0};
+    return std::pair{stash->value,
+                     std::round(100.0 * static_cast<double>(result.states) /
+                                load->value)};
+  };
+  obs::Registry classic_registry;
+  const CheckResult classic = run_check(
+      GridModel{.side = 64}, {.threads = 2, .metrics = &classic_registry});
+  const auto [classic_stash, classic_slots] = gauges(classic_registry, classic);
+  EXPECT_EQ(classic_stash, 0.0);
+  EXPECT_EQ(static_cast<double>(classic.seen_bytes), 8.0 * classic_slots);
+
+  obs::Registry compact_registry;
+  const CheckResult compact = check_reduction(
+      {}, {.threads = 2, .metrics = &compact_registry});
+  ASSERT_TRUE(compact.ok()) << compact.counterexample;
+  const auto [compact_stash, compact_slots] = gauges(compact_registry, compact);
+  EXPECT_GE(compact_stash, 0.0);
+  EXPECT_GE(static_cast<double>(compact.seen_bytes),
+            4.0 * compact_slots + 16.0 * compact_stash);
 }
 
 // --- campaign pre-sizing under reductions ----------------------------------
@@ -805,8 +912,38 @@ TEST(ModelChecker, ExpectedStatesHintHonorsReductionLevel) {
   EXPECT_EQ(sized.states, oversized.states);
   EXPECT_EQ(sized.transitions, oversized.transitions);
   EXPECT_EQ(sized.verdict, oversized.verdict);
-  EXPECT_LT(sized.seen_bytes, oversized.seen_bytes)
-      << "the reduced hint must shrink the table";
+
+  // Both hints fall under the 2^24-slot floor of 52-bit codes, so the hint
+  // only sets the size where the width leaves room: at 26 bits (one pair),
+  // the reduced hint must shrink the table.
+  EXPECT_EQ(detail::CompactSeenSet(26, meta.expected_for(false)).capacity(),
+            1u << 20);
+  EXPECT_EQ(detail::CompactSeenSet(26, meta.expected_for(true)).capacity(),
+            1u << 17);
+  const CheckResult one_oversized = check_reduction(
+      {}, {.threads = 2, .expected_states = meta.expected_for(false)});
+  const CheckResult one_sized = check_reduction(
+      {}, {.threads = 2, .expected_states = meta.expected_for(true)});
+  EXPECT_EQ(one_sized.states, one_oversized.states);
+  EXPECT_LT(one_sized.seen_bytes, one_oversized.seen_bytes)
+      << "the reduced hint must reach the table";
+}
+
+// Every code_bits model gets the compact table, hint or not: the 52-bit
+// 8.3M-state two-pair space (mistake prefix + crash) without a hint fits
+// the compact table's 2^24-slot floor (64 MiB), where the classic table
+// it used to start on grew to 2^25 slots (256 MiB) over the run.
+TEST(ModelChecker, TwoPairRunWithoutHintUsesTheCompactTable) {
+  McOptions two;
+  two.mode = BoxMode::kArbitrary;
+  two.allow_crash = true;
+  two.check_accuracy = false;
+  two.check_deadlock = true;
+  two.pairs = 2;
+  const CheckResult result = check_reduction(two, {.threads = 4});
+  ASSERT_TRUE(result.ok()) << result.counterexample;
+  EXPECT_EQ(result.states, 8340544u);
+  EXPECT_LT(result.seen_bytes, 70ull << 20);
 }
 
 }  // namespace

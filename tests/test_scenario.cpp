@@ -249,6 +249,89 @@ TEST(ScenarioParse, PartitionUntilZeroMeansNever) {
   EXPECT_EQ(s.config.partitions[0].until, sim::kNever);
 }
 
+// Integer fields used to go through a bare strtoull. These tests only parse:
+// running n = 4294967293 would try to build a rig of four billion processes.
+// integer_probe swaps the first `from` in the base scenario for `to`.
+std::string integer_probe(const std::string& from, const std::string& to) {
+  std::string text = base_scenario();
+  text.replace(text.find(from), from.size(), to);
+  return text;
+}
+
+TEST(ScenarioParse, NegativeNIsRejected) {
+  const std::string error =
+      parse_error(integer_probe("\"n\": 2", "\"n\": -3"));
+  EXPECT_EQ(error.rfind("topology.n: must be a non-negative integer", 0), 0u)
+      << error;  // used to parse as n = 4294967293
+  EXPECT_NE(error.find("got -3"), std::string::npos) << error;
+}
+
+TEST(ScenarioParse, NWiderThan32BitsIsRejected) {
+  const std::string error =
+      parse_error(integer_probe("\"n\": 2", "\"n\": 4294967298"));
+  EXPECT_EQ(error.rfind("topology.n: must be a non-negative integer no larger "
+                        "than 4294967295",
+                        0),
+            0u)
+      << error;  // used to truncate to n = 2
+}
+
+TEST(ScenarioParse, NegativeStepsIsRejected) {
+  const std::string error =
+      parse_error(integer_probe("\"steps\": 60000", "\"steps\": -1"));
+  EXPECT_EQ(error.rfind("steps: must be a non-negative integer", 0), 0u)
+      << error;  // used to parse as 2^64 - 1
+}
+
+TEST(ScenarioParse, FractionalStepsIsRejected) {
+  const std::string error =
+      parse_error(integer_probe("\"steps\": 60000", "\"steps\": 1.5"));
+  EXPECT_EQ(error.rfind("steps: must be a non-negative integer", 0), 0u)
+      << error;  // used to truncate to 1
+  EXPECT_NE(error.find("got 1.5"), std::string::npos) << error;
+}
+
+TEST(ScenarioParse, StringStepsIsRejected) {
+  const std::string error =
+      parse_error(integer_probe("\"steps\": 60000", "\"steps\": \"x\""));
+  EXPECT_EQ(error.rfind("steps: must be a non-negative integer", 0), 0u)
+      << error;  // used to read as 0
+}
+
+TEST(ScenarioParse, CrashPidOutsideTheTopologyIsRejected) {
+  std::string text = integer_probe("\"n\": 2", "\"n\": 3");
+  text.insert(text.find("\"expect\""),
+              "\"crashes\": [{\"pid\": 1, \"at\": 5}, "
+              "{\"pid\": 7, \"at\": 10}], ");
+  const std::string error = parse_error(text);
+  EXPECT_EQ(error, "crashes[1].pid: pid 7 is not below n = 3");
+}
+
+TEST(ScenarioParse, TimingMinAboveMaxIsRejected) {
+  std::string text = base_scenario();
+  text.insert(text.find("\"expect\""),
+              "\"timing\": {\"delay\": \"uniform\", \"min\": 9, "
+              "\"max\": 2}, ");
+  EXPECT_EQ(parse_error(text), "timing.min: 9 exceeds timing.max 2");
+}
+
+TEST(ScenarioParse, IntegerBoundariesAreAccepted) {
+  // The widest time a window can name (sim::kNever) still parses, and a
+  // pid of n - 1 is a real process.
+  std::string text = integer_probe("\"n\": 2", "\"n\": 3");
+  text.insert(text.find("\"expect\""),
+              "\"mistake_windows\": [{\"watcher\": 2, \"subject\": 0, "
+              "\"from\": 0, \"until\": 18446744073709551615}], ");
+  const scenario::Scenario s = parse_ok(text);
+  ASSERT_EQ(s.config.mistakes.size(), 1u);
+  EXPECT_EQ(s.config.mistakes[0].watcher, 2u);
+  EXPECT_EQ(s.config.mistakes[0].until, sim::kNever);
+
+  text.replace(text.find("18446744073709551615"), 20, "18446744073709551616");
+  EXPECT_EQ(parse_error(text).rfind("mistake_windows[0].until: must be", 0),
+            0u);
+}
+
 // ---------------------------------------------------------------------------
 // Round-trip: parse -> write -> parse is structurally the identity, and the
 // writer is canonical (write(parse(write(x))) == write(x) byte for byte).
@@ -581,6 +664,39 @@ TEST(ReproSchema, OutOfRangeRateIsRejected) {
         << probe;
     EXPECT_EQ(error.rfind("loss_rate: must be a finite number in [0, 1]", 0), 0u)
         << error;
+  }
+}
+
+// The .repro reader shares parse_scenario's integer check: same cases,
+// config-key paths.
+TEST(ReproSchema, IntegerFieldsAreChecked) {
+  struct Case {
+    const char* from;
+    const char* to;
+    const char* error_prefix;
+  };
+  const Case cases[] = {
+      {"\"n\": 2", "\"n\": -3", "n: must be a non-negative integer"},
+      {"\"n\": 2", "\"n\": 4294967298", "n: must be a non-negative integer"},
+      {"\"steps\": 60000", "\"steps\": -1",
+       "steps: must be a non-negative integer"},
+      {"\"steps\": 60000", "\"steps\": 1.5",
+       "steps: must be a non-negative integer"},
+      {"\"steps\": 60000", "\"steps\": \"x\"",
+       "steps: must be a non-negative integer"},
+      {"\"crashes\": []", "\"crashes\": [{\"pid\": 7, \"at\": 10}]",
+       "crashes[0].pid: pid 7 is not below n = 2"},
+      {"\"delay_min\": 1", "\"delay_min\": 9",
+       "delay_min: 9 exceeds delay_max 8"},
+      {"\"at\": 0", "\"at\": -2", "at: must be a non-negative integer"},
+  };
+  for (const Case& c : cases) {
+    fuzz::ReproCase out;
+    std::string error;
+    EXPECT_FALSE(
+        fuzz::repro_from_json(hostile_repro(c.from, c.to), &out, &error))
+        << c.to;
+    EXPECT_EQ(error.rfind(c.error_prefix, 0), 0u) << c.to << ": " << error;
   }
 }
 

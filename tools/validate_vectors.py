@@ -11,6 +11,9 @@ fails CI before any engine ever parses it. Checks, per file:
   * enum fields hold known values;
   * probability fields (network.loss_rate, network.dup_rate, timing.geo_p)
     are finite numbers within [0, 1];
+  * integer fields (n, steps, seeds, pids, times, weights) are non-negative
+    integer literals that fit their C++ type; every pid names one of the n
+    processes and timing.min <= timing.max;
   * "expect" names at least one engine and every named engine pins a
     verdict ("clean" | "violation"); "seeds" only appears under fuzz;
   * the mc envelope: no "mc" expectation alongside a network adversary or a
@@ -38,6 +41,10 @@ SCHEDULERS = {"round_robin", "random", "weighted", "pausing"}
 DELAYS = {"fixed", "uniform", "geometric", "partial_synchrony"}
 SEMANTICS = {"lockout", "fork_based"}
 VERDICTS = {"clean", "violation"}
+U32 = 2**32 - 1
+U64 = 2**64 - 1
+# FuzzConfig defaults for timing.min / timing.max.
+DELAY_MIN, DELAY_MAX = 1, 8
 
 TOP_KEYS = {
     "schema_version", "name", "description", "seed", "target", "topology",
@@ -95,6 +102,33 @@ def check_probability(node, key, path):
         fail(path, f"must be a finite number in [0, 1], got {value}")
 
 
+def check_unsigned(value, path, limit=U64):
+    """An integer field: a JSON integer literal in [0, limit] (no sign,
+    fraction, exponent or string), as fuzz::read_unsigned reads it."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or not 0 <= value <= limit:
+        fail(path, f"must be a non-negative integer no larger than {limit}, "
+                   f"got {json.dumps(value)}")
+    return value
+
+
+def check_pid(value, path, n):
+    check_unsigned(value, path, U32)
+    if value >= n:
+        fail(path, f"pid {value} is not below n = {n}")
+
+
+def check_plans(items, path, n, times, pids):
+    """Integer members of each plan object (crashes, windows, pauses)."""
+    for i, item in enumerate(items):
+        for key in times:
+            if key in item:
+                check_unsigned(item[key], f"{path}[{i}].{key}")
+        for key in pids:
+            if key in item:
+                check_pid(item[key], f"{path}[{i}].{key}", n)
+
+
 def check_items(node, path, allowed):
     for item in node:
         check_keys(item, path, allowed)
@@ -132,8 +166,13 @@ def validate(doc):
         if key not in doc["topology"]:
             fail("topology", f'requires "{key}"')
     check_enum(doc["topology"]["graph"], "topology.graph", GRAPHS)
-    if not isinstance(doc["topology"]["n"], int) or doc["topology"]["n"] < 2:
+    n = check_unsigned(doc["topology"]["n"], "topology.n", U32)
+    if n < 2:
         fail("topology.n", "needs at least 2")
+    check_unsigned(doc["seed"], "seed")
+    check_unsigned(doc["steps"], "steps")
+    if "detector_lag" in doc:
+        check_unsigned(doc["detector_lag"], "detector_lag")
 
     if "scheduler" in doc:
         check_keys(doc["scheduler"], "scheduler", SECTION_KEYS["scheduler"])
@@ -142,32 +181,61 @@ def validate(doc):
         check_enum(doc["scheduler"]["kind"], "scheduler.kind", SCHEDULERS)
         check_items(doc["scheduler"].get("pauses", []), "scheduler.pauses[]",
                     SECTION_KEYS["scheduler.pauses[]"])
+        for i, weight in enumerate(doc["scheduler"].get("weights", [])):
+            check_unsigned(weight, f"scheduler.weights[{i}]")
+        check_plans(doc["scheduler"].get("pauses", []), "scheduler.pauses",
+                    n, ("from", "until"), ("pid",))
     if "timing" in doc:
         check_keys(doc["timing"], "timing", SECTION_KEYS["timing"])
         if "delay" not in doc["timing"]:
             fail("timing", 'requires "delay"')
         check_enum(doc["timing"]["delay"], "timing.delay", DELAYS)
+        timing = doc["timing"]
+        for key in ("min", "max", "gst"):
+            if key in timing:
+                check_unsigned(timing[key], f"timing.{key}")
+        low = timing.get("min", DELAY_MIN)
+        high = timing.get("max", DELAY_MAX)
+        if low > high:
+            fail("timing.min", f"{low} exceeds timing.max {high}")
         check_probability(doc["timing"], "geo_p", "timing.geo_p")
     check_items(doc.get("crashes", []), "crashes[]", SECTION_KEYS["crashes[]"])
+    check_plans(doc.get("crashes", []), "crashes", n, ("at",), ("pid",))
     check_items(doc.get("mistake_windows", []), "mistake_windows[]",
                 SECTION_KEYS["mistake_windows[]"])
+    check_plans(doc.get("mistake_windows", []), "mistake_windows", n,
+                ("from", "until"), ("watcher", "subject"))
     if "box" in doc:
         check_keys(doc["box"], "box", SECTION_KEYS["box"])
         if "semantics" in doc["box"]:
             check_enum(doc["box"]["semantics"], "box.semantics", SEMANTICS)
+        for key, limit in (("exclusive_from", U64), ("member0_burst", U32),
+                           ("grant_holdoff", U64)):
+            if key in doc["box"]:
+                check_unsigned(doc["box"][key], f"box.{key}", limit)
     if "network" in doc:
         check_keys(doc["network"], "network", SECTION_KEYS["network"])
         for key in ("loss_rate", "dup_rate"):
             check_probability(doc["network"], key, f"network.{key}")
-        check_items(doc["network"].get("partitions", []),
-                    "network.partitions[]",
+        if "dup_spread" in doc["network"]:
+            check_unsigned(doc["network"]["dup_spread"], "network.dup_spread")
+        partitions = doc["network"].get("partitions", [])
+        check_items(partitions, "network.partitions[]",
                     SECTION_KEYS["network.partitions[]"])
+        check_plans(partitions, "network.partitions", n, ("from", "until"), ())
+        for i, window in enumerate(partitions):
+            for j, pid in enumerate(window.get("side", [])):
+                check_pid(pid, f"network.partitions[{i}].side[{j}]", n)
         if "retransmit" in doc["network"]:
             retransmit = doc["network"]["retransmit"]
             if not isinstance(retransmit, dict):
                 fail("network.retransmit", "must be an object")
             check_keys(retransmit, "network.retransmit",
                        SECTION_KEYS["network.retransmit"])
+            for key, limit in (("every", U64), ("max_attempts", U32)):
+                if key in retransmit:
+                    check_unsigned(retransmit[key],
+                                   f"network.retransmit.{key}", limit)
 
     expect = doc["expect"]
     check_keys(expect, "expect", SECTION_KEYS["expect"])
@@ -179,6 +247,8 @@ def validate(doc):
                               allow_seeds=False)
     if "fuzz" in expect:
         check_expectation(expect["fuzz"], "expect.fuzz", allow_seeds=True)
+        for i, seed in enumerate(expect["fuzz"].get("seeds", [])):
+            check_unsigned(seed, f"expect.fuzz.seeds[{i}]")
 
     if "mc" in expect:
         if has_network_adversary(doc):
@@ -191,8 +261,10 @@ def validate(doc):
 
 
 def selftest():
-    """Out-of-range and non-finite probabilities fail with a path-qualified
-    error; in-range ones pass."""
+    """Out-of-range and non-finite probabilities, and integer fields that
+    are negative, fractional, strings, too wide, pids outside the topology
+    or timing.min above timing.max, fail with a path-qualified error;
+    in-range values pass."""
     base = {"schema_version": 1, "name": "probe", "seed": 1,
             "target": "dining", "topology": {"graph": "ring", "n": 3},
             "steps": 1000, "expect": {"sim": {"verdict": "clean"}}}
@@ -203,6 +275,16 @@ def selftest():
     for value in (1.5, -0.1, math.inf):
         cases.append(({"timing": {"delay": "geometric", "geo_p": value}},
                       "timing.geo_p"))
+    for value in (-3, 2**32 + 2, 2.0, "3"):
+        cases.append(({"topology": {"graph": "ring", "n": value}},
+                      "topology.n"))
+    for value in (-1, 1.5, "x", 2**64):
+        cases.append(({"steps": value}, "steps"))
+    cases.append(({"crashes": [{"pid": 7, "at": 10}]}, "crashes[0].pid"))
+    cases.append(({"timing": {"delay": "uniform", "min": 9, "max": 2}},
+                  "timing.min"))
+    cases.append(({"network": {"partitions": [{"from": 1, "side": [3]}]}},
+                  "network.partitions[0].side[0]"))
     failures = 0
     for extra, path in cases:
         try:
@@ -215,7 +297,10 @@ def selftest():
                 failures += 1
     for extra in ({"network": {"loss_rate": 0, "dup_rate": 1}},
                   {"network": {"loss_rate": 0.25}},
-                  {"timing": {"delay": "geometric", "geo_p": 0.2}}):
+                  {"timing": {"delay": "geometric", "geo_p": 0.2}},
+                  {"crashes": [{"pid": 2, "at": 10}]},
+                  {"mistake_windows": [{"watcher": 0, "subject": 2,
+                                        "until": U64}]}):
         try:
             validate({**base, **extra})
         except Invalid as error:
