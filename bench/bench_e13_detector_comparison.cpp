@@ -46,7 +46,8 @@ Row run_config(const std::string& name, sim::Time gst, Config config,
       std::make_unique<sim::PartialSynchronyDelay>(gst, 3, gst));
   engine.set_scheduler(std::make_unique<sim::RoundRobinScheduler>());
   detect::DetectorHistory history(0);
-  engine.trace().subscribe(
+  engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   for (sim::ProcessId p = 0; p < n; ++p) {
     for (sim::ProcessId q = 0; q < n; ++q) {

@@ -134,7 +134,8 @@ RunResult run_config(const std::string& workload, std::uint32_t n,
 
   RunResult result;
   if (trace_on) {
-    engine.trace().subscribe(
+    engine.trace().subscribe_kinds(
+        sim::kAllEventKinds,
         [&result](const sim::Event&) { ++result.events_seen; });
   }
   engine.init();

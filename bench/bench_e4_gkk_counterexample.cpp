@@ -56,7 +56,8 @@ Row run_ours(std::uint64_t seed) {
                                      dining::BoxSemantics::kForkBased);
   auto extraction = reduce::build_full_extraction(rig.hosts, factory, {});
   detect::DetectorHistory history(0xED);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   history.set_initial(0, 1, true);
   history.set_initial(1, 0, true);

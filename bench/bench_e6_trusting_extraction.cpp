@@ -55,7 +55,8 @@ Row run_config(sim::Time crash_at, std::uint64_t seed) {
       [&rig](sim::ProcessId p) { return rig.oracles[p].get(); });
   auto extraction = reduce::build_full_extraction(rig.hosts, factory, {});
   detect::DetectorHistory history(0xED + 1);  // the trusting view
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   for (const auto& pair : extraction.pairs) {
     history.set_initial(pair.watcher, pair.subject, true);

@@ -102,7 +102,8 @@ Row run_config(SchedulerKind kind, std::uint32_t n, std::uint64_t seed,
   sensor_config.battery = battery;
   sensor_config.always_on = kind == SchedulerKind::kAlwaysOn;
   wsn::ClusterMonitor monitor(kTag, members);
-  engine.trace().subscribe(
+  engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDinerTransition, sim::EventKind::kCrash),
       [&monitor](const sim::Event& e) { monitor.on_event(e); });
   std::vector<std::shared_ptr<wsn::SensorNode>> sensors;
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -53,7 +53,8 @@ Row run_two(std::uint32_t burst, std::uint64_t seed) {
   auto factory = make_factory(rig, burst);
   auto extraction = reduce::build_full_extraction(rig.hosts, factory, {});
   detect::DetectorHistory history(0xED);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   history.set_initial(0, 1, true);
   rig.engine.init();

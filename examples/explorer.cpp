@@ -86,10 +86,13 @@ int run_dining(const Options& options) {
   dining::DiningMonitor::attach(rig.engine, monitor);
   sim::DinerTimeline timeline(1, instance.config.members, options.steps / 72);
   sim::DelayStats delays;
-  rig.engine.trace().subscribe([&](const sim::Event& e) {
-    timeline.on_event(e);
-    delays.on_event(e);
-  });
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDinerTransition, sim::EventKind::kCrash,
+                     sim::EventKind::kSend, sim::EventKind::kDeliver),
+      [&](const sim::Event& e) {
+        timeline.on_event(e);
+        delays.on_event(e);
+      });
   if (options.crash != 0) rig.engine.schedule_crash(options.n - 1, options.crash);
   rig.engine.init();
   rig.engine.run(options.steps);
@@ -118,7 +121,8 @@ int run_reduction(const Options& options) {
       [&rig](sim::ProcessId p) { return rig.detectors[p].get(); });
   auto extraction = reduce::build_full_extraction(rig.hosts, factory, {});
   sim::DinerTimeline timeline(0x1000, {0, 1}, options.steps / 72);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDinerTransition, sim::EventKind::kCrash),
       [&](const sim::Event& e) { timeline.on_event(e); });
   if (options.crash != 0) rig.engine.schedule_crash(1, options.crash);
   rig.engine.init();
@@ -155,7 +159,8 @@ int run_wsn(const Options& options) {
     members.push_back(p);
   }
   wsn::NetworkMonitor monitor(3, layout, members);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDinerTransition, sim::EventKind::kCrash),
       [&](const sim::Event& e) { monitor.on_event(e); });
   std::vector<std::shared_ptr<wsn::SensorNode>> sensors;
   for (std::uint32_t s = 0; s < layout.sensor_count(); ++s) {

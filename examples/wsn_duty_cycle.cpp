@@ -23,7 +23,8 @@ int main() {
       rig.add_wait_free_dining(10, 3, graph::make_clique(kSensors));
 
   wsn::ClusterMonitor monitor(3, {0, 1, 2});
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDinerTransition, sim::EventKind::kCrash),
       [&monitor](const sim::Event& e) { monitor.on_event(e); });
 
   std::vector<std::shared_ptr<wsn::SensorNode>> sensors;

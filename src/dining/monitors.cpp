@@ -19,7 +19,8 @@ DiningMonitor::DiningMonitor(const sim::Engine& engine,
 }
 
 void DiningMonitor::attach(sim::Engine& engine, DiningMonitor& monitor) {
-  engine.trace().subscribe(
+  engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDinerTransition),
       [&monitor](const sim::Event& event) { monitor.on_event(event); });
 }
 

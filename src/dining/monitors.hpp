@@ -35,7 +35,7 @@ class DiningMonitor {
   /// participant.
   DiningMonitor(const sim::Engine& engine, DiningInstanceConfig config);
 
-  /// Subscribe `monitor` to `engine.trace()` (convenience).
+  /// Subscribe `monitor` to the diner transitions of `engine.trace()`.
   static void attach(sim::Engine& engine, DiningMonitor& monitor);
 
   void on_event(const sim::Event& event);

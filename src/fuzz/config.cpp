@@ -125,6 +125,22 @@ bool read_unsigned(const util::Json& value, std::uint64_t max,
   return true;
 }
 
+bool read_pid_or_none(const util::Json& value, std::int32_t* out,
+                      std::string* error) {
+  constexpr auto kMax = std::numeric_limits<std::int32_t>::max();
+  const bool none = value.dump() == "-1";
+  std::uint64_t pid = 0;
+  if (!none && !read_unsigned(value, kMax, &pid, nullptr)) {
+    if (error != nullptr) {
+      *error = "must be -1 (none) or a non-negative integer no larger than " +
+               std::to_string(kMax) + ", got " + value.dump();
+    }
+    return false;
+  }
+  *out = none ? -1 : static_cast<std::int32_t>(pid);
+  return true;
+}
+
 const char* to_string(SchedulerKind kind) { return enum_name(kSchedulers, kind); }
 const char* to_string(DelayKind kind) { return enum_name(kDelays, kind); }
 const char* to_string(GraphKind kind) { return enum_name(kGraphs, kind); }
@@ -449,7 +465,10 @@ bool apply_config_json(const util::Json& root, FuzzConfig* out, std::string* err
     } else if (key == "grant_holdoff") {
       if (!integer(key, value, &out->grant_holdoff)) return false;
     } else if (key == "never_exit_member") {
-      out->never_exit_member = static_cast<std::int32_t>(value.as_double(-1));
+      std::string why;
+      if (!read_pid_or_none(value, &out->never_exit_member, &why)) {
+        return fail(key + ": " + why);
+      }
     } else if (key == "loss_rate") {
       if (!probability(key, value, &out->loss_rate)) return false;
     } else if (key == "dup_rate") {
@@ -574,9 +593,9 @@ bool repro_from_json(const std::string& text, ReproCase* out,
     return fail("missing \"schema_version\" (expected 1; pre-versioning "
                 "files must be migrated)");
   }
-  if (version->as_u64() != 1) {
-    return fail("unsupported schema_version " +
-                std::to_string(version->as_u64()) +
+  // Exactly the integer literal 1: 1.5, 1.0 and "1" are foreign versions.
+  if (version->dump() != "1") {
+    return fail("unsupported schema_version " + version->dump() +
                 " (this build supports 1)");
   }
   *out = ReproCase{};

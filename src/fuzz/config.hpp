@@ -132,6 +132,12 @@ bool is_probability(double value);
 bool read_unsigned(const util::Json& value, std::uint64_t max,
                    std::uint64_t* out, std::string* error);
 
+/// Reads a pid-or-none field (never_exit_member): -1 (none) or an integer in
+/// [0, INT32_MAX], digits only. Same contract as read_unsigned, so 1e10 or
+/// 1.7 is an error instead of an undefined or truncated conversion.
+bool read_pid_or_none(const util::Json& value, std::int32_t* out,
+                      std::string* error);
+
 /// read_unsigned bounded by the destination type.
 template <class T>
 bool read_unsigned(const util::Json& value, T* out, std::string* error) {

@@ -35,32 +35,6 @@ graph::ConflictGraph make_graph(GraphKind kind, std::uint32_t n) {
   return graph::make_ring(n);
 }
 
-/// Watches step/crash events for simulator-contract breaches while the run
-/// is live (retaining nothing).
-struct EngineInvariantObserver {
-  const sim::Engine* engine = nullptr;
-  sim::Time last_time = 0;
-  bool time_regressed = false;
-  sim::Time regressed_at = 0;
-  bool dead_step = false;
-  sim::Time dead_step_at = 0;
-  sim::ProcessId dead_step_pid = sim::kNoProcess;
-
-  void on_event(const sim::Event& event) {
-    if (event.time < last_time && !time_regressed) {
-      time_regressed = true;
-      regressed_at = event.time;
-    }
-    last_time = std::max(last_time, event.time);
-    if (event.kind == sim::EventKind::kStep &&
-        event.time >= engine->crash_time(event.pid) && !dead_step) {
-      dead_step = true;
-      dead_step_at = event.time;
-      dead_step_pid = event.pid;
-    }
-  }
-};
-
 std::string fmt(const char* pattern, std::uint64_t a, std::uint64_t b = 0,
                 std::uint64_t c = 0) {
   std::ostringstream out;
@@ -334,7 +308,6 @@ struct ConfigRun::Impl {
   sim::Engine engine;
   std::vector<sim::ComponentHost*> hosts;
   std::vector<std::shared_ptr<detect::OracleEventuallyPerfect>> detectors;
-  EngineInvariantObserver invariants;
   bool dining_target = false;
   std::unique_ptr<dining::DiningMonitor> monitor;
   detect::DetectorHistory history;
@@ -437,11 +410,6 @@ struct ConfigRun::Impl {
       net.retransmit_max = config.retransmit_max;
       engine.set_network(std::move(net));
     }
-
-    invariants.engine = &engine;
-    engine.trace().subscribe_kinds(
-        sim::kind_mask(sim::EventKind::kStep, sim::EventKind::kCrash),
-        [this](const sim::Event& e) { invariants.on_event(e); });
 
     // --- target wiring ----------------------------------------------------
     dining_target = !is_extraction_target(config.target);
@@ -645,15 +613,12 @@ RunResult ConfigRun::grade(const FuzzConfig& graded) const {
            completeness.detail});
     }
   }
-  if (im.invariants.time_regressed) {
-    result.failures.push_back({"engine", im.invariants.regressed_at,
-                               "trace time went backwards"});
-  }
-  if (im.invariants.dead_step) {
+  if (const sim::Engine::DeadStep dead = engine.first_dead_step();
+      dead.pid != sim::kNoProcess) {
     result.failures.push_back(
-        {"engine", im.invariants.dead_step_at,
-         fmt("process %a stepped at t=%b, at/after its crash time",
-             im.invariants.dead_step_pid, im.invariants.dead_step_at)});
+        {"engine", dead.at,
+         fmt("process %a stepped at t=%b, at/after its crash time", dead.pid,
+             dead.at)});
   }
   // Conservation with the adversary on: each duplicate is an extra
   // in-flight copy, each loss is already inside `dropped` (messages_lost is

@@ -16,10 +16,14 @@
 //                   none still suspects one at the end (extraction targets;
 //                   strictly stronger than the end-state-only
 //                   eventual_strong_accuracy — it catches oscillation);
-//  * engine       — simulator invariants: event time monotonicity, no step
-//                   by a crashed process, end-of-run message conservation
-//                   (sent + duplicated == delivered + dropped + in transit;
-//                   the duplicated term is zero without a network adversary).
+//  * engine       — simulator invariants: no step by a process at or after
+//                   its crash time (recorded by Engine::step itself, read
+//                   through Engine::first_dead_step), end-of-run message
+//                   conservation (sent + duplicated == delivered + dropped +
+//                   in transit; the duplicated term is zero without a
+//                   network adversary). Event time needs no check: `++now_`
+//                   in Engine::step is the clock's only write and every
+//                   emit stamps now_, so the trace clock cannot go back.
 //
 // run_config is a pure function of the (normalized) config: same config,
 // same failures, bit for bit — the property that makes .repro replay and

@@ -157,9 +157,11 @@ bool read_all(int fd, std::string* out) {
 
 namespace {
 
-/// The evolve loop's standard capture: retain nothing (monitors still see
-/// every event — retention only controls the ring), count everything into a
-/// private registry so the run's counter footprint can be bucketized.
+/// The evolve loop's standard capture: retain nothing, and count into a
+/// private registry so the run's counter footprint can be bucketized. The
+/// trace counts only kinds some listener already observes (diner
+/// transitions, detector flips); steps, messages and crashes reach the
+/// footprint through the engine's own sim.* counters.
 struct EvolveCapture {
   obs::Registry registry;
   RunCapture capture;

@@ -221,10 +221,11 @@ bool parse_box(Ctx& ctx, const Json& node, fuzz::FuzzConfig* config) {
                          &config->grant_holdoff)) {
     return false;
   }
-  if (const Json* f = node.find("never_exit_member")) {
-    config->never_exit_member = static_cast<std::int32_t>(f->as_i64(-1));
-  }
-  return true;
+  const Json* f = node.find("never_exit_member");
+  std::string why;
+  return f == nullptr ||
+         fuzz::read_pid_or_none(*f, &config->never_exit_member, &why) ||
+         ctx.fail("box.never_exit_member", why);
 }
 
 bool parse_network(Ctx& ctx, const Json& node, fuzz::FuzzConfig* config) {
@@ -352,9 +353,9 @@ bool parse_scenario(const std::string& text, Scenario* out,
   if (version == nullptr) {
     return ctx.fail("", "missing \"schema_version\" (expected 1)");
   }
-  if (version->as_u64() != kSchemaVersion) {
-    return ctx.fail("", "unsupported schema_version " +
-                            std::to_string(version->as_u64()) +
+  // Exactly the integer literal 1: 1.5, 1.0 and "1" are foreign versions.
+  if (version->dump() != std::to_string(kSchemaVersion)) {
+    return ctx.fail("", "unsupported schema_version " + version->dump() +
                             " (this build supports 1)");
   }
   *out = Scenario{};

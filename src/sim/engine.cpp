@@ -217,7 +217,11 @@ bool Engine::step() {
   if (live_.empty()) return false;
 
   const ProcessId pid = scheduler_->next(live_, now_, rng_);
-  assert(pid < processes_.size() && !crashed_[pid]);
+  assert(pid < processes_.size());
+  // Only a broken scheduler picks a crashed pid; record the first one.
+  if (now_ >= crash_at_[pid] && dead_step_.pid == kNoProcess) [[unlikely]] {
+    dead_step_ = {now_, pid};
+  }
 
   Context ctx(*this, pid);
   sends_this_step_ = 0;

@@ -137,6 +137,14 @@ class Engine {
   bool is_live(ProcessId pid) const { return !crashed_[pid]; }
   bool is_correct(ProcessId pid) const { return crash_at_[pid] == kNever; }
   Time crash_time(ProcessId pid) const { return crash_at_[pid]; }
+  /// The first step a scheduler handed a process at or after its crash time
+  /// (`pid` stays kNoProcess while no scheduler has). Only a broken scheduler
+  /// can cause one; the engine records it without changing the run.
+  struct DeadStep {
+    Time at = 0;
+    ProcessId pid = kNoProcess;
+  };
+  DeadStep first_dead_step() const { return dead_step_; }
   std::size_t in_transit_count() const;
   const EngineStats& stats() const { return stats_; }
   Trace& trace() { return trace_; }
@@ -206,6 +214,7 @@ class Engine {
   /// Byte per pid (not vector<bool>): tested on every send and step.
   std::vector<std::uint8_t> crashed_;
   std::vector<Time> crash_at_;             // kNever if correct
+  DeadStep dead_step_;
   /// Crash times not yet applied, sorted descending by (at, pid): the step
   /// loop pays one comparison against the back until a crash is really due.
   /// May hold stale entries after a reschedule; apply filters them against

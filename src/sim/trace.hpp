@@ -3,20 +3,21 @@
 // about the event trace). Events are small PODs; observers subscribe for
 // online property checking without retaining the whole trace.
 //
-// The emit path is zero-cost when nobody listens: the sink keeps a bitmask
-// of enabled event kinds (the union of retention and every subscription's
-// kind mask), and `emit` is a single branch-and-return unless the event's
-// kind is enabled. Experiments that only care about, say, diner transitions
-// subscribe with a kind mask so the engine never pays std::function fan-out
-// for step/send/deliver events.
+// There is one subscription path, `subscribe_kinds(mask, fn)`: every
+// observer names the event kinds it reads. The sink keeps the union of
+// retention and every subscription's mask, and `emit` is a single
+// branch-and-return unless the event's kind is in it, so a kind nobody
+// asked for costs no std::function call. Graded fuzz runs listen only to
+// diner transitions and detector flips; steps, sends, deliveries, drops
+// and crashes stay on the zero-cost path unless a capture retains them.
 //
 // Retention is scoped by a kind mask of its own: constructing a Trace with
 // a capacity enables only the kinds in `retain_mask` (default: all), so a
 // capture of diner transitions does not drag every step event off the
 // zero-cost path. Raw record kinds >= 64 alias low mask bits on the cheap
 // `wants` check, but dispatch re-checks the exact kind before retaining or
-// invoking a typed observer — aliasing can cost a wasted dispatch call,
-// never a mis-delivered event (full-mask observers still see everything).
+// invoking an observer — aliasing can cost a wasted dispatch call, never a
+// mis-delivered event (only a kAllEventKinds subscription sees raw kinds).
 #pragma once
 
 #include <cstdint>
@@ -57,8 +58,8 @@ std::string to_string(const Event& event);
 /// Bit for one event kind in a subscription mask. Kinds beyond 63 (possible
 /// through the raw record_kind escape hatch) alias low bits here; the cheap
 /// `wants` pre-check uses the aliased bit (which can only over-approximate)
-/// and dispatch re-checks the exact kind, so typed observers never receive
-/// a kind they did not subscribe to.
+/// and dispatch re-checks the exact kind, so an observer never receives
+/// a kind it did not subscribe to.
 constexpr std::uint64_t kind_mask(EventKind kind) {
   return 1ull << (static_cast<unsigned>(kind) & 63u);
 }
@@ -85,13 +86,9 @@ class Trace {
     enabled_ = retain_mask_;
   }
 
-  /// Observe every event (legacy form; enables all kinds).
-  void subscribe(Observer observer) {
-    subscribe_kinds(kAllEventKinds, std::move(observer));
-  }
-
   /// Observe only events whose kind bit is set in `mask` (build it with
-  /// kind_mask(...)). Keeps every other kind on the zero-cost path.
+  /// kind_mask(...); kAllEventKinds observes everything). Keeps every other
+  /// kind on the zero-cost path.
   void subscribe_kinds(std::uint64_t mask, Observer observer) {
     observers_.push_back(Subscription{mask, std::move(observer)});
     enabled_ |= mask;
@@ -136,7 +133,7 @@ class Trace {
 
   /// Exact-kind test: raw kinds < 64 use their mask bit; raw kinds >= 64
   /// (record_kind escape hatch) match only the full mask, so they can never
-  /// ride an aliased low bit into a typed observer.
+  /// ride an aliased low bit into a masked observer.
   static bool mask_matches(std::uint64_t mask, EventKind kind) {
     const auto raw = static_cast<unsigned>(kind);
     if (raw < 64u) return ((mask >> raw) & 1u) != 0;

@@ -28,7 +28,8 @@ TEST(Adversaries, ReductionSurvivesUnboundedSpeedRatio) {
       [&rig](sim::ProcessId p) { return rig.detectors[p].get(); });
   auto extraction = reduce::build_full_extraction(rig.hosts, factory, {});
   detect::DetectorHistory history(0xED);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   history.set_initial(0, 1, true);
   history.set_initial(1, 0, true);
@@ -49,7 +50,8 @@ TEST(Adversaries, ReductionSurvivesSubjectStall) {
       [&rig](sim::ProcessId p) { return rig.detectors[p].get(); });
   auto extraction = reduce::build_full_extraction(rig.hosts, factory, {});
   detect::DetectorHistory history(0xED);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   history.set_initial(0, 1, true);
   history.set_initial(1, 0, true);

@@ -213,7 +213,8 @@ TEST(OracleStrong, ImmuneProcessNeverSuspected) {
 TEST(DetectorHistory, GradesHeartbeatDetectorAsEventuallyPerfect) {
   HeartbeatRig rig(3, 12, /*gst=*/300, /*delta=*/3);
   DetectorHistory history(/*tag=*/0);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&](const sim::Event& e) { history.on_event(e); });
   for (ProcessId p = 0; p < 3; ++p) {
     for (ProcessId q = 0; q < 3; ++q) {
@@ -241,7 +242,9 @@ TEST(DetectorHistory, FlagsPermanentWrongSuspicion) {
   engine.add_process(std::move(host0));
   engine.add_process(std::make_unique<ComponentHost>());
   DetectorHistory history(0);
-  engine.trace().subscribe([&](const sim::Event& e) { history.on_event(e); });
+  engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
+      [&](const sim::Event& e) { history.on_event(e); });
   history.set_initial(0, 1, false);
   engine.init();
   engine.run(2000);
@@ -260,7 +263,9 @@ TEST(DetectorHistory, TrustingAccuracyFlagsWrongDetrust) {
   engine.add_process(std::move(host0));
   engine.add_process(std::make_unique<ComponentHost>());
   DetectorHistory history(0);
-  engine.trace().subscribe([&](const sim::Event& e) { history.on_event(e); });
+  engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
+      [&](const sim::Event& e) { history.on_event(e); });
   history.set_initial(0, 1, false);
   engine.init();
   engine.run(2000);
@@ -277,7 +282,9 @@ TEST(DetectorHistory, TrustingOracleSatisfiesTrustingAccuracy) {
   engine.add_process(std::make_unique<ComponentHost>());
   engine.schedule_crash(2, 300);
   DetectorHistory history(0);
-  engine.trace().subscribe([&](const sim::Event& e) { history.on_event(e); });
+  engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
+      [&](const sim::Event& e) { history.on_event(e); });
   history.set_initial(0, 1, true);  // T starts by trusting nobody? here: at 0
   history.set_initial(0, 2, true);
   engine.init();
@@ -297,7 +304,9 @@ TEST(DetectorHistory, PerpetualWeakAccuracy) {
   engine.add_process(std::make_unique<ComponentHost>());
   engine.add_process(std::make_unique<ComponentHost>());
   DetectorHistory history(0);
-  engine.trace().subscribe([&](const sim::Event& e) { history.on_event(e); });
+  engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
+      [&](const sim::Event& e) { history.on_event(e); });
   history.set_initial(0, 1, false);
   history.set_initial(0, 2, false);
   engine.init();

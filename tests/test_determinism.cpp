@@ -71,7 +71,8 @@ Fingerprint run_reduction_config(std::uint64_t seed) {
   auto extraction = reduce::build_full_extraction(rig.hosts, factory,
                                                   reduce::ExtractionOptions{});
   TraceHasher hasher;
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      kAllEventKinds,
       [&hasher](const Event& e) { hasher.on_event(e); });
   rig.engine.schedule_crash(2, 5000);
   rig.engine.init();
@@ -86,7 +87,8 @@ Fingerprint run_hygienic_config(std::uint64_t seed) {
   auto instance = rig.add_hygienic_dining(10, 1, graph::make_ring(5));
   auto clients = rig.add_clients(instance, dining::ClientConfig{});
   TraceHasher hasher;
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      kAllEventKinds,
       [&hasher](const Event& e) { hasher.on_event(e); });
   rig.engine.init();
   rig.engine.run(20000);
@@ -149,7 +151,9 @@ Fingerprint run_gossip(std::unique_ptr<Scheduler> scheduler,
     engine.schedule_crash(2, 2000);
   }
   TraceHasher hasher;
-  engine.trace().subscribe([&hasher](const Event& e) { hasher.on_event(e); });
+  engine.trace().subscribe_kinds(
+      kAllEventKinds,
+      [&hasher](const Event& e) { hasher.on_event(e); });
   engine.init();
   engine.run(10000);
   return {hasher.hash, hasher.events, hash_stats(engine)};

@@ -152,9 +152,8 @@ TEST(Engine, ObserversReceiveEvents) {
   engine.add_process(std::make_unique<PingCounter>(1));
   engine.add_process(std::make_unique<PingCounter>(0));
   std::uint64_t sends = 0;
-  engine.trace().subscribe([&](const Event& event) {
-    if (event.kind == EventKind::kSend) ++sends;
-  });
+  engine.trace().subscribe_kinds(kind_mask(EventKind::kSend),
+                                 [&](const Event&) { ++sends; });
   engine.init();
   engine.run(200);
   EXPECT_EQ(sends, engine.stats().messages_sent);

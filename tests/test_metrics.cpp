@@ -114,7 +114,7 @@ TEST(Trace, CapacityBoundsRetention) {
 TEST(Trace, ObserversSeeEverythingRegardlessOfCapacity) {
   Trace trace(/*max_events=*/0);
   int seen = 0;
-  trace.subscribe([&](const Event&) { ++seen; });
+  trace.subscribe_kinds(kAllEventKinds, [&](const Event&) { ++seen; });
   for (int i = 0; i < 7; ++i) {
     trace.emit(Event{0, EventKind::kSend, 0, 0, 0, 0});
   }
@@ -176,7 +176,7 @@ TEST(Trace, AliasedRawKindsNeverReachTypedObservers) {
   int all_calls = 0;
   trace.subscribe_kinds(kind_mask(EventKind::kStep),
                         [&](const Event&) { ++step_calls; });
-  trace.subscribe([&](const Event&) { ++all_calls; });
+  trace.subscribe_kinds(kAllEventKinds, [&](const Event&) { ++all_calls; });
   const Event aliased{1, static_cast<EventKind>(64), 0, 0, 0, 0};
   trace.emit(aliased);
   EXPECT_EQ(step_calls, 0) << "raw kind 64 rode kStep's aliased mask bit";

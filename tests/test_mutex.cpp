@@ -169,7 +169,8 @@ TEST(TExtraction, TrustingAccuracyOnCorrectPair) {
       reduce::build_full_extraction(rig.hosts, factory, reduce::ExtractionOptions{});
   // Grade the trusting view (tag + 1).
   DetectorHistory history(0xED + 1);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   for (const auto& pair : extraction.pairs) {
     history.set_initial(pair.watcher, pair.subject, true);
@@ -191,7 +192,8 @@ TEST(TExtraction, CertificateOnlyAfterRealCrash) {
   auto extraction =
       reduce::build_full_extraction(rig.hosts, factory, reduce::ExtractionOptions{});
   DetectorHistory history(0xED + 1);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   for (const auto& pair : extraction.pairs) {
     history.set_initial(pair.watcher, pair.subject, true);

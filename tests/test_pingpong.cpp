@@ -92,7 +92,8 @@ TEST(PingPongDetector, AdaptsTimeoutOnMistake) {
 TEST(PingPongDetector, GradedEventuallyPerfectByMonitor) {
   PingPongRig rig(3, 4, /*gst=*/300, /*delta=*/3);
   DetectorHistory history(0);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   for (sim::ProcessId p = 0; p < 3; ++p) {
     for (sim::ProcessId q = 0; q < 3; ++q) {

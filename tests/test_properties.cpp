@@ -149,7 +149,8 @@ TEST_P(ReductionSweep, ExtractedDetectorIsEventuallyPerfect) {
   }
   auto extraction = reduce::build_full_extraction(rig.hosts, *factory, {});
   detect::DetectorHistory history(0xED);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   for (const auto& pair : extraction.pairs) {
     history.set_initial(pair.watcher, pair.subject, true);

@@ -38,7 +38,8 @@ TEST(Reduction, ExtractsEventuallyPerfectFromRealBox_NoCrashes) {
   auto extraction =
       build_full_extraction(rig.hosts, factory, ExtractionOptions{});
   DetectorHistory history(kExtractTag);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   register_pairs(history, extraction);
   rig.engine.init();
@@ -56,7 +57,8 @@ TEST(Reduction, StrongCompletenessOnRealBox) {
   auto extraction =
       build_full_extraction(rig.hosts, factory, ExtractionOptions{});
   DetectorHistory history(kExtractTag);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   register_pairs(history, extraction);
   rig.engine.schedule_crash(2, 5000);
@@ -84,7 +86,8 @@ TEST(Reduction, BoxInternalMistakesDoNotBreakExtraction) {
   auto extraction =
       build_full_extraction(rig.hosts, factory, ExtractionOptions{});
   DetectorHistory history(kExtractTag);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   register_pairs(history, extraction);
   rig.engine.init();
@@ -100,7 +103,8 @@ TEST(Reduction, ScriptedBoxWithMistakePrefix) {
   auto extraction =
       build_full_extraction(rig.hosts, factory, ExtractionOptions{});
   DetectorHistory history(kExtractTag);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   register_pairs(history, extraction);
   rig.engine.init();
@@ -117,7 +121,8 @@ TEST(Reduction, ScriptedForkBasedBox) {
   auto extraction =
       build_full_extraction(rig.hosts, factory, ExtractionOptions{});
   DetectorHistory history(kExtractTag);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   register_pairs(history, extraction);
   rig.engine.init();
@@ -136,7 +141,8 @@ TEST(Reduction, SurvivesUnfairBox) {
   auto extraction =
       build_full_extraction(rig.hosts, factory, ExtractionOptions{});
   DetectorHistory history(kExtractTag);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   register_pairs(history, extraction);
   rig.engine.init();
@@ -152,7 +158,8 @@ TEST(Reduction, CompletenessOnScriptedBox) {
   auto extraction =
       build_full_extraction(rig.hosts, factory, ExtractionOptions{});
   DetectorHistory history(kExtractTag);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   register_pairs(history, extraction);
   rig.engine.schedule_crash(1, 4000);
@@ -283,7 +290,8 @@ TEST(Gkk, OurReductionSurvivesTheSameAdversary) {
   auto extraction =
       build_full_extraction(rig.hosts, factory, ExtractionOptions{});
   DetectorHistory history(kExtractTag);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   register_pairs(history, extraction);
   rig.engine.init();
@@ -337,7 +345,8 @@ TEST(Ablation, TwoInstanceSurvivesSameUnfairBox) {
   auto extraction =
       build_full_extraction(rig.hosts, factory, ExtractionOptions{});
   DetectorHistory history(kExtractTag);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      sim::kind_mask(sim::EventKind::kDetectorChange),
       [&history](const sim::Event& e) { history.on_event(e); });
   register_pairs(history, extraction);
   rig.engine.init();

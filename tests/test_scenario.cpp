@@ -332,6 +332,49 @@ TEST(ScenarioParse, IntegerBoundariesAreAccepted) {
             0u);
 }
 
+std::string with_never_exit_member(const std::string& value) {
+  std::string text = integer_probe("scripted_extraction", "scripted_dining");
+  text.insert(text.find("\"expect\""),
+              "\"box\": {\"never_exit_member\": " + value + "}, ");
+  return text;
+}
+
+TEST(ScenarioParse, NeverExitMemberIsAPidOrMinusOne) {
+  // 1e10 used to be an out-of-range float-to-int conversion and 1.7 read
+  // as 1; both are errors now, as is any other negative value.
+  for (const char* probe :
+       {"1e10", "1.7", "-2", "-1.0", "2147483648", "\"1\"", "true"}) {
+    const std::string error = parse_error(with_never_exit_member(probe));
+    EXPECT_EQ(error.rfind("box.never_exit_member: must be -1 (none) or a "
+                          "non-negative integer no larger than 2147483647",
+                          0),
+              0u)
+        << probe << ": " << error;
+  }
+  EXPECT_EQ(parse_ok(with_never_exit_member("-1")).config.never_exit_member,
+            -1);
+  EXPECT_EQ(parse_ok(with_never_exit_member("1")).config.never_exit_member, 1);
+  // The widest accepted pid parses as itself; normalize maps a pid >= n to
+  // -1 (none).
+  const scenario::Scenario widest =
+      parse_ok(with_never_exit_member("2147483647"));
+  EXPECT_EQ(widest.config.never_exit_member, 2147483647);
+  EXPECT_EQ(fuzz::normalize(widest.config).never_exit_member, -1);
+  EXPECT_EQ(fuzz::normalize(parse_ok(with_never_exit_member("1")).config)
+                .never_exit_member,
+            1);
+}
+
+TEST(ScenarioParse, SchemaVersionMustBeTheInteger1) {
+  // 1.5 used to read as version 1.
+  for (const std::string probe : {"1.5", "1.0", "1e0", "-1", "\"1\""}) {
+    const std::string error = parse_error(integer_probe(
+        "\"schema_version\": 1", "\"schema_version\": " + probe));
+    EXPECT_EQ(error,
+              "unsupported schema_version " + probe + " (this build supports 1)");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Round-trip: parse -> write -> parse is structurally the identity, and the
 // writer is canonical (write(parse(write(x))) == write(x) byte for byte).
@@ -697,6 +740,43 @@ TEST(ReproSchema, IntegerFieldsAreChecked) {
         fuzz::repro_from_json(hostile_repro(c.from, c.to), &out, &error))
         << c.to;
     EXPECT_EQ(error.rfind(c.error_prefix, 0), 0u) << c.to << ": " << error;
+  }
+}
+
+TEST(ReproSchema, NeverExitMemberIsAPidOrMinusOne) {
+  for (const char* probe : {"1e10", "1.7", "-2", "2147483648", "\"1\""}) {
+    fuzz::ReproCase out;
+    std::string error;
+    EXPECT_FALSE(fuzz::repro_from_json(
+        hostile_repro("\"never_exit_member\": -1",
+                      std::string("\"never_exit_member\": ") + probe),
+        &out, &error))
+        << probe;
+    EXPECT_EQ(error.rfind("never_exit_member: must be -1 (none) or a "
+                          "non-negative integer no larger than 2147483647",
+                          0),
+              0u)
+        << probe << ": " << error;
+  }
+  fuzz::ReproCase out;
+  std::string error;
+  ASSERT_TRUE(fuzz::repro_from_json(
+      hostile_repro("\"never_exit_member\": -1", "\"never_exit_member\": 2"),
+      &out, &error))
+      << error;
+  EXPECT_EQ(out.config.never_exit_member, 2);
+}
+
+TEST(ReproSchema, SchemaVersionMustBeTheInteger1) {
+  for (const std::string probe : {"1.5", "1.0", "1e0", "-1", "\"1\""}) {
+    fuzz::ReproCase out;
+    std::string error;
+    EXPECT_FALSE(fuzz::repro_from_json(
+        hostile_repro("\"schema_version\": 1", "\"schema_version\": " + probe),
+        &out, &error))
+        << probe;
+    EXPECT_EQ(error,
+              "unsupported schema_version " + probe + " (this build supports 1)");
   }
 }
 

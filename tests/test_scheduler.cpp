@@ -101,11 +101,12 @@ TEST(Scheduler, RoundRobinCoversEveryLiveProcessWithinOneRoundOfACrash) {
   engine.schedule_crash(3, kCrashAt);
 
   std::vector<ProcessId> stepped_after_crash;
-  engine.trace().subscribe([&](const Event& e) {
-    if (e.kind == EventKind::kStep && e.time >= kCrashAt) {
-      stepped_after_crash.push_back(e.pid);
-    }
-  });
+  engine.trace().subscribe_kinds(kind_mask(EventKind::kStep),
+                                 [&](const Event& e) {
+                                   if (e.time >= kCrashAt) {
+                                     stepped_after_crash.push_back(e.pid);
+                                   }
+                                 });
   engine.init();
   engine.run(1000);
 

@@ -17,11 +17,16 @@
 // The recorded tables are literal, so a change that alters any delivery
 // order, any draw, or any oracle verdict fails here with the first field
 // that moved.
+//
+// The engine-contract tests at the end pin that the `engine` oracle fires
+// when a scheduler steps a crashed process, and that an uncaptured graded
+// run leaves every per-step and per-message event kind disabled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -254,7 +259,8 @@ Fingerprint run_reduction(std::uint64_t seed) {
   auto extraction = reduce::build_full_extraction(rig.hosts, factory,
                                                   reduce::ExtractionOptions{});
   TraceHasher hasher;
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      kAllEventKinds,
       [&hasher](const Event& e) { hasher.on_event(e); });
   rig.engine.schedule_crash(2, 5000);
   rig.engine.init();
@@ -267,7 +273,8 @@ Fingerprint run_hygienic(std::uint64_t seed) {
   auto instance = rig.add_hygienic_dining(10, 1, graph::make_ring(5));
   auto clients = rig.add_clients(instance, dining::ClientConfig{});
   TraceHasher hasher;
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      kAllEventKinds,
       [&hasher](const Event& e) { hasher.on_event(e); });
   rig.engine.init();
   rig.engine.run(20000);
@@ -333,7 +340,9 @@ Fingerprint run_gossip(int scheduler, std::uint64_t seed, bool with_crashes) {
     engine.schedule_crash(2, 2000);
   }
   TraceHasher hasher;
-  engine.trace().subscribe([&hasher](const Event& e) { hasher.on_event(e); });
+  engine.trace().subscribe_kinds(
+      kAllEventKinds,
+      [&hasher](const Event& e) { hasher.on_event(e); });
   engine.init();
   engine.run(10000);
   return {hasher.hash, hasher.events, hash_stats(engine)};
@@ -357,6 +366,90 @@ TEST(SoaEngineDifferential, EverySchedulerMatchesLegacyWithAndWithoutCrashes) {
       EXPECT_EQ(run_gossip(scheduler, 11, crashes),
                 kLegacy[scheduler][crashes ? 1 : 0])
           << "scheduler " << scheduler << " crashes " << crashes;
+    }
+  }
+}
+
+// --- engine contract --------------------------------------------------------
+
+/// A broken adversary: round-robin until `victim`'s crash time, then hands
+/// the engine the crashed `victim` on every tick.
+class StepsTheCrashed final : public Scheduler {
+ public:
+  StepsTheCrashed(ProcessId victim, Time crash_at)
+      : victim_(victim), crash_at_(crash_at) {}
+  ProcessId next(std::span<const ProcessId> live, Time now, Rng& rng) override {
+    return now >= crash_at_ ? victim_ : fair_.next(live, now, rng);
+  }
+
+ private:
+  ProcessId victim_;
+  Time crash_at_;
+  RoundRobinScheduler fair_;
+};
+
+fuzz::FuzzConfig one_crash_config() {
+  fuzz::FuzzConfig config;
+  config.seed = 11;
+  config.target = fuzz::TargetKind::kDining;
+  config.n = 3;
+  config.steps = 2000;
+  config.crashes.push_back({1, 500});
+  return fuzz::normalize(config);
+}
+
+std::vector<fuzz::OracleFailure> engine_failures(const fuzz::RunResult& run) {
+  std::vector<fuzz::OracleFailure> out;
+  for (const fuzz::OracleFailure& failure : run.failures) {
+    if (failure.oracle == "engine") out.push_back(failure);
+  }
+  return out;
+}
+
+TEST(EngineContract, StepAfterCrashFiresEngineOracle) {
+  const fuzz::FuzzConfig config = one_crash_config();
+  ASSERT_EQ(config.crashes.size(), 1u);
+  const fuzz::CrashPlan crash = config.crashes.front();
+
+  fuzz::ConfigRun broken(config);
+  broken.engine().set_scheduler(
+      std::make_unique<StepsTheCrashed>(crash.pid, crash.at));
+  broken.advance_to(config.steps);
+  const fuzz::RunResult run = broken.grade(config);
+  EXPECT_EQ(run.stats.crashes, 1u);
+  const std::vector<fuzz::OracleFailure> failures = engine_failures(run);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].at, crash.at);
+  EXPECT_EQ(failures[0].detail,
+            "process " + std::to_string(crash.pid) + " stepped at t=" +
+                std::to_string(crash.at) + ", at/after its crash time");
+
+  // Control: the stock scheduler never steps the crashed process.
+  fuzz::ConfigRun fair(config);
+  fair.advance_to(config.steps);
+  const fuzz::RunResult clean = fair.grade(config);
+  EXPECT_EQ(clean.stats.crashes, 1u);
+  EXPECT_TRUE(engine_failures(clean).empty());
+}
+
+TEST(EngineContract, UncapturedRunsEnableNoPerStepKind) {
+  // Grading listens only to diner transitions and detector flips, so an
+  // uncaptured run must keep every per-step and per-message kind on the
+  // trace's branch-and-return path.
+  for (const fuzz::TargetKind target :
+       {fuzz::TargetKind::kDining, fuzz::TargetKind::kScriptedDining,
+        fuzz::TargetKind::kExtraction, fuzz::TargetKind::kScriptedExtraction,
+        fuzz::TargetKind::kBrokenSingleInstance,
+        fuzz::TargetKind::kBrokenForkBased}) {
+    fuzz::FuzzConfig config = one_crash_config();
+    config.target = target;
+    fuzz::ConfigRun run(fuzz::normalize(config));
+    const Trace& trace = run.engine().trace();
+    for (const EventKind kind :
+         {EventKind::kStep, EventKind::kSend, EventKind::kDeliver,
+          EventKind::kDrop, EventKind::kCrash}) {
+      EXPECT_FALSE(trace.wants(kind))
+          << fuzz::to_string(target) << " enables " << to_string(kind);
     }
   }
 }

@@ -64,7 +64,9 @@ TEST(DelayStats, MatchesSendsToDeliveries) {
   engine.set_delay_model(std::make_unique<FixedDelay>(5));
   engine.set_scheduler(std::make_unique<RoundRobinScheduler>());
   DelayStats stats;
-  engine.trace().subscribe([&](const Event& e) { stats.on_event(e); });
+  engine.trace().subscribe_kinds(
+      kind_mask(EventKind::kSend, EventKind::kDeliver),
+      [&](const Event& e) { stats.on_event(e); });
   engine.init();
   engine.run(3000);
   EXPECT_GT(stats.matched(), 100u);
@@ -80,7 +82,8 @@ TEST(DinerTimeline, RendersPhases) {
   auto instance = rig.add_wait_free_dining(10, 1, graph::make_pair());
   auto clients = rig.add_clients(instance, dining::ClientConfig{});
   DinerTimeline timeline(1, {0, 1}, /*bucket=*/500);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      kind_mask(EventKind::kDinerTransition, EventKind::kCrash),
       [&](const Event& e) { timeline.on_event(e); });
   rig.engine.init();
   rig.engine.run(20000);
@@ -99,7 +102,8 @@ TEST(DinerTimeline, MarksCrashes) {
   auto instance = rig.add_wait_free_dining(10, 1, graph::make_pair());
   auto clients = rig.add_clients(instance, dining::ClientConfig{});
   DinerTimeline timeline(1, {0, 1}, /*bucket=*/500);
-  rig.engine.trace().subscribe(
+  rig.engine.trace().subscribe_kinds(
+      kind_mask(EventKind::kDinerTransition, EventKind::kCrash),
       [&](const Event& e) { timeline.on_event(e); });
   rig.engine.schedule_crash(1, 5000);
   rig.engine.init();

@@ -59,7 +59,9 @@ struct WsnRig {
       sensors.push_back(sensor);
       hosts[i]->add_component(sensor, {});
     }
-    engine.trace().subscribe(
+    engine.trace().subscribe_kinds(
+        sim::kind_mask(sim::EventKind::kDinerTransition,
+                       sim::EventKind::kCrash),
         [this](const sim::Event& e) { monitor.on_event(e); });
   }
 };

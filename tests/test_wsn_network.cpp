@@ -64,7 +64,9 @@ struct NetRig {
       rig.hosts[s]->add_component(sensor, {});
       sensors.push_back(sensor);
     }
-    rig.engine.trace().subscribe(
+    rig.engine.trace().subscribe_kinds(
+        sim::kind_mask(sim::EventKind::kDinerTransition,
+                       sim::EventKind::kCrash),
         [this](const sim::Event& e) { monitor.on_event(e); });
   }
 };

@@ -5,7 +5,8 @@ A pure-stdlib mirror of the C++ schema-v1 validator in
 src/scenario/scenario.cpp, run as a tier-1 ctest so a hand-edited vector
 fails CI before any engine ever parses it. Checks, per file:
 
-  * top-level shape: required keys present, no unknown keys, schema_version 1;
+  * top-level shape: required keys present, no unknown keys, schema_version
+    exactly the integer 1;
   * every section only uses its whitelisted keys (strictness mirrors the
     C++ parser: unknown keys are errors at EVERY level);
   * enum fields hold known values;
@@ -13,7 +14,8 @@ fails CI before any engine ever parses it. Checks, per file:
     are finite numbers within [0, 1];
   * integer fields (n, steps, seeds, pids, times, weights) are non-negative
     integer literals that fit their C++ type; every pid names one of the n
-    processes and timing.min <= timing.max;
+    processes and timing.min <= timing.max; box.never_exit_member is -1
+    (none) or an integer in [0, 2^31 - 1];
   * "expect" names at least one engine and every named engine pins a
     verdict ("clean" | "violation"); "seeds" only appears under fuzz;
   * the mc envelope: no "mc" expectation alongside a network adversary or a
@@ -42,6 +44,7 @@ DELAYS = {"fixed", "uniform", "geometric", "partial_synchrony"}
 SEMANTICS = {"lockout", "fork_based"}
 VERDICTS = {"clean", "violation"}
 U32 = 2**32 - 1
+I32 = 2**31 - 1
 U64 = 2**64 - 1
 # FuzzConfig defaults for timing.min / timing.max.
 DELAY_MIN, DELAY_MAX = 1, 8
@@ -112,6 +115,16 @@ def check_unsigned(value, path, limit=U64):
     return value
 
 
+def check_pid_or_none(value, path):
+    """box.never_exit_member: -1 (none) or an integer in [0, I32], as
+    fuzz::read_pid_or_none reads it (normalize maps a pid >= n to -1)."""
+    if isinstance(value, int) and not isinstance(value, bool) \
+            and -1 <= value <= I32:
+        return
+    fail(path, f"must be -1 (none) or a non-negative integer no larger than "
+               f"{I32}, got {json.dumps(value)}")
+
+
 def check_pid(value, path, n):
     check_unsigned(value, path, U32)
     if value >= n:
@@ -154,8 +167,11 @@ def validate(doc):
                 "steps", "expect"):
         if key not in doc:
             fail("", f'requires "{key}"')
-    if doc["schema_version"] != SCHEMA_VERSION:
-        fail("", f'unsupported schema_version {doc["schema_version"]} '
+    # Exactly the integer 1, as the C++ readers compare the literal: 1.0,
+    # 1.5, true and "1" are foreign versions.
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        fail("", f"unsupported schema_version {json.dumps(version)} "
                  f"(this tool supports {SCHEMA_VERSION})")
     if not isinstance(doc["name"], str) or not doc["name"]:
         fail("name", "must be a non-empty string")
@@ -213,6 +229,9 @@ def validate(doc):
                            ("grant_holdoff", U64)):
             if key in doc["box"]:
                 check_unsigned(doc["box"][key], f"box.{key}", limit)
+        if "never_exit_member" in doc["box"]:
+            check_pid_or_none(doc["box"]["never_exit_member"],
+                              "box.never_exit_member")
     if "network" in doc:
         check_keys(doc["network"], "network", SECTION_KEYS["network"])
         for key in ("loss_rate", "dup_rate"):
@@ -263,8 +282,9 @@ def validate(doc):
 def selftest():
     """Out-of-range and non-finite probabilities, and integer fields that
     are negative, fractional, strings, too wide, pids outside the topology
-    or timing.min above timing.max, fail with a path-qualified error;
-    in-range values pass."""
+    or timing.min above timing.max, a never_exit_member that is not -1 or
+    an int32 pid, fail with a path-qualified error; a schema_version that
+    is not the integer 1 fails as unsupported; in-range values pass."""
     base = {"schema_version": 1, "name": "probe", "seed": 1,
             "target": "dining", "topology": {"graph": "ring", "n": 3},
             "steps": 1000, "expect": {"sim": {"verdict": "clean"}}}
@@ -280,6 +300,9 @@ def selftest():
                       "topology.n"))
     for value in (-1, 1.5, "x", 2**64):
         cases.append(({"steps": value}, "steps"))
+    for value in (1e10, 1.7, -2, 2**31, "1", True):
+        cases.append(({"box": {"never_exit_member": value}},
+                      "box.never_exit_member"))
     cases.append(({"crashes": [{"pid": 7, "at": 10}]}, "crashes[0].pid"))
     cases.append(({"timing": {"delay": "uniform", "min": 9, "max": 2}},
                   "timing.min"))
@@ -295,10 +318,21 @@ def selftest():
             if not str(error).startswith(path + ":"):
                 print(f"FAIL {extra}: error lacks path {path!r}: {error}")
                 failures += 1
+    for value in (1.5, 1.0, True, "1"):
+        try:
+            validate({**base, "schema_version": value})
+            print(f"FAIL accepted schema_version {value!r}")
+            failures += 1
+        except Invalid as error:
+            if not str(error).startswith("unsupported schema_version"):
+                print(f"FAIL schema_version {value!r}: {error}")
+                failures += 1
     for extra in ({"network": {"loss_rate": 0, "dup_rate": 1}},
                   {"network": {"loss_rate": 0.25}},
                   {"timing": {"delay": "geometric", "geo_p": 0.2}},
                   {"crashes": [{"pid": 2, "at": 10}]},
+                  {"box": {"never_exit_member": -1}},
+                  {"box": {"never_exit_member": I32}},
                   {"mistake_windows": [{"watcher": 0, "subject": 2,
                                         "until": U64}]}):
         try:
