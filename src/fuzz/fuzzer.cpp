@@ -392,8 +392,8 @@ CampaignResult run_fuzz_campaign(
   const std::vector<TargetKind> base_pool =
       opts.targets.empty() ? legal_targets() : opts.targets;
 
-  // Campaign-level metrics: updated only from this (single) thread, in the
-  // batch-accounting loop, so they never race and never perturb the runs.
+  // Campaign-level metrics: updated only from this thread, in the in-order
+  // accounting loops, so they never race and never perturb the runs.
   obs::Registry::Id m_runs = 0, m_failing = 0, m_novel = 0, m_oracle = 0,
                     m_shrink = 0;
   std::unique_ptr<obs::Scope> mscope;
@@ -409,6 +409,10 @@ CampaignResult run_fuzz_campaign(
     if (opts.on_progress) opts.on_progress(completed, opts.runs, elapsed_ms());
   };
 
+  const auto aborted = [&] {
+    return opts.abort != nullptr && opts.abort->load(std::memory_order_acquire);
+  };
+
   CampaignResult result;
   std::unordered_set<std::uint64_t> corpus;
   std::map<TargetKind, std::pair<std::uint64_t, std::uint64_t>> novelty_rate;
@@ -422,34 +426,47 @@ CampaignResult run_fuzz_campaign(
   const std::size_t batch_size = std::max<std::size_t>(
       8, static_cast<std::size_t>(opts.threads > 0 ? opts.threads : 1) * 4);
 
+  // Runs stream through one pool: workers sample and run indices up to
+  // two batches ahead of this thread, which consumes the results in index
+  // order (and runs jobs itself while the next one is not ready). `pool`
+  // changes only in budget mode, after a batch is fully consumed and
+  // before the next batch's indices are made claimable.
+  struct Sampled {
+    FuzzConfig config;
+    RunResult run;
+  };
+  harness::OrderedStream<Sampled> runs(
+      [&](std::size_t i) {
+        Sampled sampled{sample_config(opts.master_seed, i, pool), {}};
+        sampled.run = run_config(sampled.config);
+        return sampled;
+      },
+      harness::campaign_threads(opts.threads,
+                                opts.runs > 0 ? opts.runs : batch_size),
+      2 * batch_size);
+  if (opts.runs > 0) runs.extend(opts.runs);
+
   for (;;) {
-    if (opts.abort != nullptr && opts.abort->load(std::memory_order_acquire)) {
-      break;  // requester gone: stop sampling, keep what we graded
-    }
+    if (aborted()) break;  // requester gone: keep what we graded
     if (opts.runs > 0 && index >= opts.runs) break;
     if (opts.budget_ms > 0 && elapsed_ms() >= opts.budget_ms) break;
     std::size_t this_batch = batch_size;
     if (opts.runs > 0) {
       this_batch = std::min<std::size_t>(this_batch, opts.runs - index);
+    } else {
+      runs.extend(index + this_batch);
     }
 
-    std::vector<FuzzConfig> configs;
-    configs.reserve(this_batch);
     for (std::size_t i = 0; i < this_batch; ++i) {
-      configs.push_back(sample_config(opts.master_seed, index + i, pool));
-    }
-    const std::vector<RunResult> results = harness::run_campaign(
-        configs, [](const FuzzConfig& c) { return run_config(c); },
-        opts.threads);
-
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const RunResult& run = results[i];
+      const Sampled sampled = runs.next();
+      const FuzzConfig& config = sampled.config;
+      const RunResult& run = sampled.run;
       ++result.stats.executed;
       result.stats.total_steps += run.stats.steps;
       result.stats.total_messages += run.stats.messages_sent;
       result.stats.total_meals += run.stats.total_meals;
       if (mscope) mscope->add(m_runs);
-      auto& [samples, novel] = novelty_rate[configs[i].target];
+      auto& [samples, novel] = novelty_rate[config.target];
       ++samples;
       if (corpus.insert(run.signature).second) {
         ++result.stats.novel;
@@ -465,10 +482,10 @@ CampaignResult run_fuzz_campaign(
         const std::string& oracle = run.primary()->oracle;
         ++result.stats.oracle_failures[oracle];
         const std::pair<std::string, std::string> key{
-            to_string(configs[i].target), oracle};
+            to_string(config.target), oracle};
         if (shrink_keys.insert(key).second &&
             to_shrink.size() < opts.max_repros) {
-          to_shrink.emplace_back(configs[i], oracle);
+          to_shrink.emplace_back(config, oracle);
           if (narrate) {
             narrate("run " + std::to_string(index + i) + " [" + key.first +
                     "] failed oracle " + oracle + ": " +
@@ -482,8 +499,9 @@ CampaignResult run_fuzz_campaign(
 
     // Budget-bound campaigns spend the remaining time where novel schedule
     // shapes still appear: the highest-novelty-rate target gets extra
-    // sampling weight. Fixed-run campaigns keep the pool static so the
-    // outcome is a pure function of (master_seed, runs).
+    // sampling weight, so each batch is sampled from the pool adapted
+    // after the previous one. Fixed-run campaigns keep the pool static so
+    // the outcome is a pure function of (master_seed, runs).
     if (opts.runs == 0 && base_pool.size() > 1) {
       TargetKind best = base_pool.front();
       double best_rate = -1.0;
@@ -502,41 +520,51 @@ CampaignResult run_fuzz_campaign(
       pool.push_back(best);
     }
   }
+  runs.stop();  // joins the workers; runs past an early stop are dropped
   result.stats.corpus_size = corpus.size();
 
-  for (const auto& [config, oracle] : to_shrink) {
-    if (opts.abort != nullptr && opts.abort->load(std::memory_order_acquire)) {
-      break;
-    }
-    if (opts.shrink) {
-      ShrinkOutcome outcome = shrink_case(config, opts.max_shrink_attempts);
+  if (!to_shrink.empty() && !aborted()) {
+    // The distinct failure shapes shrink concurrently and are applied in
+    // discovery order. With shrinking off each case is only re-validated.
+    harness::OrderedStream<ShrinkOutcome> shrinks(
+        [&](std::size_t k) {
+          const FuzzConfig& config = to_shrink[k].first;
+          if (opts.shrink) return shrink_case(config, opts.max_shrink_attempts);
+          ShrinkOutcome outcome;
+          outcome.repro.config = normalize(config);
+          const RunResult rerun = run_config(outcome.repro.config);
+          outcome.runs = 1;
+          outcome.reproduced = !rerun.ok();
+          if (outcome.reproduced) {
+            outcome.repro.oracle = rerun.primary()->oracle;
+            outcome.repro.at = rerun.primary()->at;
+            outcome.repro.detail = rerun.primary()->detail;
+          }
+          return outcome;
+        },
+        harness::campaign_threads(opts.threads, to_shrink.size()),
+        to_shrink.size());
+    shrinks.extend(to_shrink.size());
+    for (const auto& [config, oracle] : to_shrink) {
+      if (aborted()) break;
+      ShrinkOutcome outcome = shrinks.next();
       result.stats.shrink_runs += outcome.runs;
       if (mscope) mscope->add(m_shrink, outcome.runs);
       if (!outcome.reproduced) {
         // A recorded failure that no longer fails is itself a determinism
         // bug; surface it instead of shipping a "none" repro as a finding.
         if (narrate) {
-          narrate("shrink of " + oracle +
+          narrate("re-run of " + oracle +
                   " case did not reproduce the failure; dropping it");
         }
         continue;
       }
-      if (narrate) {
+      if (narrate && opts.shrink) {
         narrate("shrunk " + oracle + " case in " +
                 std::to_string(outcome.attempts) + " attempts (" +
                 std::to_string(outcome.accepted) + " reductions)");
       }
       result.repros.push_back(std::move(outcome.repro));
-    } else {
-      const FuzzConfig normalized = normalize(config);
-      const RunResult rerun = run_config(normalized);
-      ++result.stats.shrink_runs;
-      if (mscope) mscope->add(m_shrink);
-      if (!rerun.ok()) {
-        result.repros.push_back(ReproCase{normalized, rerun.primary()->oracle,
-                                          rerun.primary()->at,
-                                          rerun.primary()->detail});
-      }
     }
   }
 

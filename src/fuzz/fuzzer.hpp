@@ -2,10 +2,16 @@
 // tracking via feature-hash signatures (the mc seen-set mixer over run
 // shape features), and a delta-debugging shrinker that reduces a failing
 // configuration to a minimal reproducer while preserving the failing
-// oracle. Campaigns fan batches of independent runs through
-// harness::run_campaign; with a fixed --runs count the outcome is
-// deterministic regardless of thread count (corpus updates happen in
-// configuration order).
+// oracle. A campaign streams its runs through one harness::OrderedStream:
+// worker threads run up to two batches ahead while the campaign thread
+// consumes the results strictly in run-index order, so accounting, novelty
+// and the choice of failures to shrink happen in configuration order. The
+// distinct failures then shrink concurrently through the same primitive
+// and are applied in discovery order. With a fixed --runs count the
+// outcome is therefore a pure function of (master_seed, runs), whatever
+// the thread count. A batch (max(8, 4 x threads) runs) is only the
+// unit of consumption at which progress is reported and the budget and
+// abort are checked.
 #pragma once
 
 #include <atomic>
@@ -25,8 +31,10 @@ struct CampaignOptions {
   /// Exact number of runs (deterministic mode). 0 = keep going until the
   /// time budget expires.
   std::uint64_t runs = 0;
-  /// Wall-clock budget in milliseconds, checked between batches. 0 = none
-  /// (then `runs` must be > 0).
+  /// Wall-clock budget in milliseconds, checked at batch boundaries of
+  /// in-order consumption. 0 = none (then `runs` must be > 0). Budget
+  /// campaigns sample each batch from the target pool adapted after the
+  /// previous one, so their workers never run past the current batch.
   std::uint64_t budget_ms = 0;
   int threads = 1;
   /// Target pool to sample from; empty = all legal targets.
@@ -37,19 +45,24 @@ struct CampaignOptions {
   std::uint32_t max_repros = 4;
   /// Optional metrics registry: the campaign counts fuzz.runs /
   /// fuzz.failing / fuzz.novel / fuzz.oracle_firings / fuzz.shrink_runs as
-  /// it goes (updated in the single-threaded batch-accounting loop, so a
-  /// snapshot between batches is consistent). Never affects sampling or
-  /// grading.
+  /// it goes (updated on the campaign thread as it consumes results in
+  /// order, so a snapshot at a batch boundary is consistent). Never
+  /// affects sampling or grading.
   obs::Registry* metrics = nullptr;
-  /// Optional progress callback, fired from the campaign thread after every
-  /// batch (and once at the end with completed == executed runs). `total`
-  /// is options.runs, or 0 for budget-bound campaigns.
+  /// Optional progress callback, fired from the campaign thread at every
+  /// batch boundary of in-order consumption (completed is then a multiple
+  /// of the batch size, or options.runs) and once at the end with
+  /// completed == executed runs. `total` is options.runs, or 0 for
+  /// budget-bound campaigns.
   std::function<void(std::uint64_t completed, std::uint64_t total,
                      std::uint64_t elapsed_ms)>
       on_progress;
-  /// Cooperative cancellation, polled between batches and between shrink
-  /// cases (a long-lived host sets it when the requesting client goes
-  /// away): when true the campaign stops early with the stats it has.
+  /// Cooperative cancellation, polled at batch boundaries of in-order
+  /// consumption and before each shrink result is applied (a long-lived
+  /// host sets it when the requesting client goes away): when true the
+  /// campaign stops early with the stats it has. Runs that workers finished
+  /// past the boundary are discarded unaccounted, no shrink starts after a
+  /// stop during the runs, and no worker thread outlives the call.
   const std::atomic<bool>* abort = nullptr;
 };
 
@@ -137,7 +150,8 @@ struct ReplayReport {
 /// hides another. An empty directory yields an empty (failing) report.
 ReplayReport replay_path(const std::string& path);
 
-/// Run a fuzzing campaign. `narrate`, if set, receives progress lines.
+/// Run a fuzzing campaign. `narrate`, if set, receives progress lines. The
+/// worker pool lives only for the call: no thread outlives it.
 CampaignResult run_fuzz_campaign(
     const CampaignOptions& options,
     const std::function<void(const std::string&)>& narrate = {});

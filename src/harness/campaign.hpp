@@ -1,8 +1,14 @@
-// Campaign runner: fan a vector of experiment configurations across a
-// thread pool. Each configuration builds its own Rig/engine (the simulator
-// has no global mutable state), so independent runs parallelize trivially;
-// results come back in configuration order regardless of scheduling, which
-// keeps sweep output deterministic.
+// Campaign runner. OrderedStream is the one worker pool: jobs indexed
+// 0, 1, 2, ... run on up to N threads (the caller is one of them) and their
+// results are consumed strictly in index order, with workers running at
+// most a fixed window ahead of consumption. There is no barrier between
+// groups of jobs: while the consumer waits on a slow job, the workers keep
+// running up to the window past it. run_campaign fans a vector of experiment configurations through
+// it; the fuzz campaign streams its runs and shrinks through it. Each
+// configuration builds its own Rig/engine (the simulator has no global
+// mutable state), so independent runs parallelize trivially; results come
+// back in configuration order regardless of scheduling, which keeps sweep
+// output deterministic.
 #pragma once
 
 #include <atomic>
@@ -13,8 +19,11 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace wfd::harness {
@@ -72,84 +81,192 @@ struct ProgressOptions {
   std::uint64_t interval_ms = 1000;
 };
 
-/// Run `fn(config)` for every configuration on up to `threads` workers.
-/// `fn` must be callable concurrently from distinct threads and its result
-/// default-constructible; results keep configuration order. If `fn` throws,
-/// the first exception is rethrown on the calling thread — but only after
-/// every worker and the monitor have been joined, because all of them
-/// reference this frame's locals (results, counters, the condvar); the
-/// remaining jobs are abandoned.
+/// The harness's one worker pool. Runs `job(i)` for i = 0, 1, 2, ... on
+/// up to `threads` threads, the calling thread included, and hands the
+/// results back strictly in index order through `next()`. Workers claim
+/// indices from a shared cursor, below the limit set by `extend` and at
+/// most `window` indices ahead of consumption, so at most `window` results
+/// are ever produced but not yet consumed (a fixed ring of slots). Idle
+/// workers block on a condition variable; nothing polls. `job` must be
+/// callable concurrently from distinct threads.
+///
+/// Every worker references this object and whatever `job` captures, so the
+/// workers are joined by `stop()`, by the destructor, and before `next()`
+/// rethrows a job's exception: no worker outlives the stream.
+template <class Result>
+class OrderedStream {
+ public:
+  using Job = std::function<Result(std::size_t)>;
+
+  /// Starts `threads - 1` workers; the caller runs jobs inside `next()`.
+  /// Nothing is claimable until the first `extend`.
+  OrderedStream(Job job, int threads, std::size_t window)
+      : job_(std::move(job)),
+        window_(window < 1 ? 1 : window),
+        slots_(window_) {
+    try {
+      for (int t = 1; t < threads; ++t) {
+        workers_.emplace_back([this] { work(); });
+      }
+    } catch (...) {
+      stop();  // a thread failed to start: join the ones that did
+      throw;
+    }
+  }
+  OrderedStream(const OrderedStream&) = delete;
+  OrderedStream& operator=(const OrderedStream&) = delete;
+  ~OrderedStream() { stop(); }
+
+  /// Lets indices below `limit` be claimed. Limits only grow.
+  void extend(std::size_t limit) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (limit <= limit_) return;
+      limit_ = limit;
+    }
+    work_cv_.notify_all();
+  }
+
+  /// The result of the next index in order (that index must be below the
+  /// limit). While it is not ready the caller runs claimable jobs itself,
+  /// and blocks only when none is left. If any job threw, every worker is
+  /// joined and the first exception is rethrown; the remaining jobs are
+  /// abandoned.
+  Result next() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      if (error_) {
+        lock.unlock();
+        stop();
+        std::rethrow_exception(error_);
+      }
+      std::optional<Result>& slot = slots_[consumed_ % window_];
+      if (slot) {
+        Result result = std::move(*slot);
+        slot.reset();
+        ++consumed_;
+        const bool wake = claimable();
+        lock.unlock();
+        if (wake) work_cv_.notify_one();
+        return result;
+      }
+      if (claimable()) {
+        run(cursor_++, lock);
+      } else if (cursor_ > consumed_) {
+        done_cv_.wait(lock);  // a worker holds index consumed_
+      } else {
+        throw std::logic_error("OrderedStream::next past the limit");
+      }
+    }
+  }
+
+  /// Stops claiming and joins every worker. Results not yet consumed are
+  /// dropped; `next()` must not be called afterwards. Idempotent.
+  void stop() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stopped_ = true;
+    }
+    work_cv_.notify_all();
+    for (std::thread& worker : workers_) {
+      if (worker.joinable()) worker.join();
+    }
+  }
+
+ private:
+  bool claimable() const {
+    return !stopped_ && cursor_ < limit_ && cursor_ - consumed_ < window_;
+  }
+
+  // Runs job(index) with the lock released; holds it again on return.
+  // Nothing may escape a pool thread (that would std::terminate), so an
+  // exception is trapped: the first one wins and stops all claiming.
+  void run(std::size_t index, std::unique_lock<std::mutex>& lock) {
+    lock.unlock();
+    std::optional<Result> result;
+    std::exception_ptr error;
+    try {
+      result.emplace(job_(index));
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    if (error) {
+      if (!error_) error_ = error;
+      stopped_ = true;
+      work_cv_.notify_all();
+      done_cv_.notify_one();
+      return;
+    }
+    slots_[index % window_] = std::move(result);
+    if (index == consumed_) done_cv_.notify_one();
+  }
+
+  void work() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      work_cv_.wait(lock, [this] { return stopped_ || claimable(); });
+      if (stopped_) return;
+      run(cursor_++, lock);
+    }
+  }
+
+  const Job job_;
+  const std::size_t window_;
+  std::mutex mu_;
+  std::condition_variable work_cv_;  ///< workers: an index became claimable
+  std::condition_variable done_cv_;  ///< caller: the next result is ready
+  std::vector<std::optional<Result>> slots_;  ///< index % window_
+  std::size_t cursor_ = 0;    ///< next index to claim
+  std::size_t consumed_ = 0;  ///< next index `next()` returns
+  std::size_t limit_ = 0;
+  bool stopped_ = false;
+  std::exception_ptr error_;
+  std::vector<std::thread> workers_;
+};
+
+/// Run `fn(config)` for every configuration on up to `threads` threads (one
+/// OrderedStream whose window spans the whole campaign). `fn` must be
+/// callable concurrently from distinct threads; results keep configuration
+/// order. If `fn` throws, the first exception is rethrown on the calling
+/// thread — but only after every worker and the monitor have been joined,
+/// because all of them reference this frame's locals; the remaining jobs
+/// are abandoned.
 template <class Config, class Fn>
 auto run_campaign(const std::vector<Config>& configs, Fn fn, int threads = 0,
                   const ProgressOptions& progress = {})
     -> std::vector<std::invoke_result_t<Fn&, const Config&>> {
   using Result = std::invoke_result_t<Fn&, const Config&>;
   using Clock = std::chrono::steady_clock;
-  std::vector<Result> results(configs.size());
-  const int pool_size = campaign_threads(threads, configs.size());
-  std::atomic<std::size_t> cursor{0};
+  const Clock::time_point start = Clock::now();
   std::atomic<std::size_t> completed{0};
-  std::atomic<bool> abort{false};
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  auto worker = [&] {
-    for (std::size_t i = cursor.fetch_add(1); i < configs.size();
-         i = cursor.fetch_add(1)) {
-      if (abort.load(std::memory_order_acquire)) return;
-      try {
-        results[i] = fn(configs[i]);
-      } catch (...) {
-        // First exception wins; the abort flag drains the other workers.
-        // Nothing may escape a pool thread (that would std::terminate).
-        {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-        abort.store(true, std::memory_order_release);
-        return;
-      }
-      completed.fetch_add(1, std::memory_order_release);
-    }
-  };
 
   // Monitor thread: wakes on the interval (or when the campaign finishes,
   // via the condvar) and reports. Started only when a callback is set so
-  // the plain path stays thread-free beyond the pool itself.
+  // the plain path stays thread-free beyond the pool itself. The guard
+  // joins it on every exit path, after the stream below has joined the
+  // workers, so its final callback sees the last completion.
   std::mutex done_mu;
   std::condition_variable done_cv;
   bool done = false;
-  std::vector<std::thread> pool;
   std::thread monitor;
-
-  // Shutdown ordering is explicit and exception-safe: workers first, then
-  // the monitor (its final callback must see the last completion), both
-  // joined before anything above them in this frame — results included —
-  // can be destroyed. The guard makes that hold on every exit path; the
-  // normal path runs the same sequence eagerly so the final progress
-  // callback precedes the return.
-  struct Shutdown {
-    std::vector<std::thread>* pool;
+  struct JoinMonitor {
     std::thread* monitor;
     std::mutex* done_mu;
     std::condition_variable* done_cv;
     bool* done;
-    void join_all() {
-      for (std::thread& t : *pool) {
-        if (t.joinable()) t.join();
+    void join() {
+      if (!monitor->joinable()) return;
+      {
+        std::lock_guard<std::mutex> lock(*done_mu);
+        *done = true;
       }
-      if (monitor->joinable()) {
-        {
-          std::lock_guard<std::mutex> lock(*done_mu);
-          *done = true;
-        }
-        done_cv->notify_all();
-        monitor->join();
-      }
+      done_cv->notify_all();
+      monitor->join();
     }
-    ~Shutdown() { join_all(); }
-  } shutdown{&pool, &monitor, &done_mu, &done_cv, &done};
+    ~JoinMonitor() { join(); }
+  } join_monitor{&monitor, &done_mu, &done_cv, &done};
 
-  const Clock::time_point start = Clock::now();
   if (progress.on_progress) {
     monitor = std::thread([&] {
       std::unique_lock<std::mutex> lock(done_mu);
@@ -169,13 +286,22 @@ auto run_campaign(const std::vector<Config>& configs, Fn fn, int threads = 0,
     });
   }
 
-  if (pool_size > 1) {
-    pool.reserve(static_cast<std::size_t>(pool_size) - 1);
-    for (int t = 1; t < pool_size; ++t) pool.emplace_back(worker);
+  std::vector<Result> results;
+  results.reserve(configs.size());
+  {
+    OrderedStream<Result> stream(
+        [&](std::size_t i) {
+          Result result = fn(configs[i]);
+          completed.fetch_add(1, std::memory_order_release);
+          return result;
+        },
+        campaign_threads(threads, configs.size()), configs.size());
+    stream.extend(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      results.push_back(stream.next());
+    }
   }
-  worker();  // never throws: exceptions are trapped into first_error
-  shutdown.join_all();
-  if (first_error) std::rethrow_exception(first_error);
+  join_monitor.join();  // the final progress callback precedes the return
   return results;
 }
 

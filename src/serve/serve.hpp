@@ -152,7 +152,7 @@ struct ExecuteHooks {
                      std::uint64_t total)>
       progress;
   obs::Registry* metrics = nullptr;
-  int campaign_threads = 1;     ///< harness threads for kCampaign batches
+  int campaign_threads = 1;     ///< harness threads for a kCampaign job
   std::string corpus_root;      ///< parent dir for named evolve corpora
 };
 

@@ -1,13 +1,19 @@
 // The fuzzer's own contracts: sampling and runs are pure functions of their
 // seeds, normalize() establishes the documented invariants for every input,
 // configs and repro cases survive a JSON round trip bit-exactly, the
-// shrinker preserves the failing oracle while only ever simplifying, and a
-// campaign's outcome does not depend on the worker thread count.
+// shrinker preserves the failing oracle while only ever simplifying, a
+// campaign's outcome does not depend on the worker thread count, and an
+// abort at a batch boundary stops the campaign with no shrink started and
+// no worker left running. The FuzzCampaign suite also runs under TSan
+// (fuzz_campaign_tsan).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fuzz/config.hpp"
@@ -17,6 +23,17 @@
 
 namespace wfd::fuzz {
 namespace {
+
+// Threads of this process, or -1 where /proc/self/task is unavailable.
+int live_threads() {
+  std::error_code ec;
+  int count = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec);
+       !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    ++count;
+  }
+  return ec ? -1 : count;
+}
 
 FuzzConfig broken_fork_based_config() {
   FuzzConfig config;
@@ -231,19 +248,99 @@ TEST(FuzzReplay, DetectsOutcomeDrift) {
 }
 
 TEST(FuzzCampaign, ThreadCountDoesNotChangeTheOutcome) {
+  // Three batches at threads = 4 (batch = 16 runs) over the `all` pool with
+  // shrinking on: workers run ahead across batch boundaries and the failure
+  // shapes shrink concurrently, so an ordering bug in either would show as a
+  // stats, repro or narration difference against the sequential campaign.
   CampaignOptions options;
   options.master_seed = 11;
-  options.runs = 6;
-  options.shrink = false;
-  options.targets = legal_targets();
+  options.runs = 48;
+  ASSERT_TRUE(resolve_target_pool({"all"}, &options.targets, nullptr));
+  options.max_shrink_attempts = 20;
   options.threads = 1;
-  const CampaignResult sequential = run_fuzz_campaign(options);
-  options.threads = 4;
-  const CampaignResult parallel = run_fuzz_campaign(options);
-  EXPECT_EQ(sequential.stats.executed, parallel.stats.executed);
-  EXPECT_EQ(sequential.stats.failing, parallel.stats.failing);
-  EXPECT_EQ(sequential.stats.corpus_size, parallel.stats.corpus_size);
-  EXPECT_EQ(sequential.stats.total_steps, parallel.stats.total_steps);
+  // The narration names each first-of-its-shape failure by its run index,
+  // so it differs as soon as one result is accounted out of index order.
+  const auto campaign = [&options](std::vector<std::string>* lines) {
+    return run_fuzz_campaign(
+        options, [lines](const std::string& line) { lines->push_back(line); });
+  };
+  std::vector<std::string> sequential_lines;
+  const CampaignResult sequential = campaign(&sequential_lines);
+  ASSERT_EQ(sequential.stats.executed, 48u);
+  ASSERT_GE(sequential.repros.size(), 2u)
+      << "needs two failure shapes to shrink concurrently";
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.threads = threads;
+    std::vector<std::string> parallel_lines;
+    const CampaignResult parallel = campaign(&parallel_lines);
+    EXPECT_EQ(sequential_lines, parallel_lines);
+    const CampaignStats& a = sequential.stats;
+    const CampaignStats& b = parallel.stats;
+    EXPECT_EQ(a.executed, b.executed);
+    EXPECT_EQ(a.failing, b.failing);
+    EXPECT_EQ(a.corpus_size, b.corpus_size);
+    EXPECT_EQ(a.novel, b.novel);
+    EXPECT_EQ(a.shrink_runs, b.shrink_runs);
+    EXPECT_EQ(a.total_steps, b.total_steps);
+    EXPECT_EQ(a.total_messages, b.total_messages);
+    EXPECT_EQ(a.total_meals, b.total_meals);
+    EXPECT_EQ(a.oracle_failures, b.oracle_failures);
+    ASSERT_EQ(sequential.repros.size(), parallel.repros.size());
+    for (std::size_t k = 0; k < sequential.repros.size(); ++k) {
+      const ReproCase& x = sequential.repros[k];
+      const ReproCase& y = parallel.repros[k];
+      EXPECT_EQ(config_to_json(x.config), config_to_json(y.config)) << k;
+      EXPECT_EQ(x.oracle, y.oracle) << k;
+      EXPECT_EQ(x.at, y.at) << k;
+      EXPECT_EQ(x.detail, y.detail) << k;
+    }
+  }
+}
+
+TEST(FuzzCampaign, AbortAtTheFirstBatchBoundaryStopsCleanly) {
+  const int baseline = live_threads();
+  std::atomic<bool> abort{false};
+  std::vector<std::uint64_t> reported;
+  int during = -1;
+  CampaignOptions options;
+  options.master_seed = 3;
+  options.runs = 400;
+  options.threads = 4;  // batch = 16 runs
+  options.targets = {TargetKind::kDining, TargetKind::kBrokenSingleInstance,
+                     TargetKind::kBrokenForkBased};
+  options.abort = &abort;
+  options.on_progress = [&](std::uint64_t completed, std::uint64_t total,
+                            std::uint64_t) {
+    EXPECT_EQ(total, 400u);
+    if (reported.empty()) during = live_threads();
+    reported.push_back(completed);
+    abort.store(true, std::memory_order_release);
+  };
+  const CampaignResult result = run_fuzz_campaign(options);
+
+  EXPECT_EQ(result.stats.executed, 16u);
+  ASSERT_GT(result.stats.failing, 0u) << "the batch must hold a failure";
+  EXPECT_EQ(result.stats.shrink_runs, 0u) << "no shrink may start";
+  EXPECT_TRUE(result.repros.empty());
+  ASSERT_FALSE(reported.empty());
+  for (std::size_t k = 0; k < reported.size(); ++k) {
+    EXPECT_EQ(reported[k] % 16, 0u) << k;
+    if (k > 0) {
+      EXPECT_GE(reported[k], reported[k - 1]) << k;
+    }
+  }
+  EXPECT_EQ(reported.back(), result.stats.executed);
+
+  if (baseline < 0) GTEST_SKIP() << "no /proc/self/task to count threads";
+  EXPECT_GT(during, baseline) << "workers run while the campaign does";
+  // A joined thread can stay listed for a moment after join() returns.
+  int after = live_threads();
+  for (int wait = 0; wait < 200 && after != baseline; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = live_threads();
+  }
+  EXPECT_EQ(after, baseline) << "a worker thread outlived the campaign";
 }
 
 TEST(FuzzShrink, AlreadyMinimalCaseComesBackUnchanged) {
